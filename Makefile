@@ -1,8 +1,5 @@
-# Convenience wrappers around dune. `make bench-json` regenerates
-# BENCH_sweep.json (serial-vs-parallel timings of the full experiment
-# grid), `make bench-pool` regenerates BENCH_pool.json (per-backend
-# task-dispatch overhead at 1/10/100 ms granularity), and `make
-# bench-dp` regenerates BENCH_dp.json (tier-DP kernel: certified
+# Convenience wrappers around dune. `make bench-dp` regenerates
+# BENCH_dp.json (tier-DP kernel: certified
 # ladder vs exact quadratic across demand specs and market sizes —
 # the n=50k exact legs make this the slow one; `make bench-dp-smoke`
 # is the CI variant, which still covers n=200k via the sampled-column
@@ -14,12 +11,13 @@
 # window is re-verified against a from-scratch solve, the sharded leg
 # must be bitwise identical to a 1-shard golden run, and
 # arrival/departure windows must warm-start; `make bench-serve-smoke`
-# is the small CI variant) so the
-# perf trajectory accumulates across PRs. `make golden-regen` re-renders every registry
+# is the small CI variant). Sweep wall time and pool dispatch cost
+# are measured, with repeats, by benchmark/ (see benchmark/README.md).
+# `make golden-regen` re-renders every registry
 # experiment and promotes the result into test/golden/ — run it (and
 # commit the diff) after an intentional output change.
 
-.PHONY: all build test test-segdp bench bench-json bench-pool bench-dp bench-dp-smoke bench-serve bench-serve-smoke golden-regen smoke smoke-procs lint lint-typed lint-baseline effects-regen clean
+.PHONY: all build test test-segdp bench bench-dp bench-dp-smoke bench-serve bench-serve-smoke golden-regen smoke smoke-procs lint lint-typed lint-baseline effects-regen clean
 
 all: build
 
@@ -37,12 +35,6 @@ test-segdp:
 
 bench:
 	dune exec bench/main.exe
-
-bench-json:
-	dune exec bench/main.exe -- sweep
-
-bench-pool:
-	dune exec bench/main.exe -- pool
 
 bench-dp:
 	dune exec bench/main.exe -- dp

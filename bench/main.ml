@@ -5,16 +5,13 @@
 
    Usage: dune exec bench/main.exe [section ...]
    with sections among: experiments fig2 fig17 ablations extensions
-   sweep pool dp serve micro (default: all). A specific experiment id
-   (e.g. fig8) also works.
+   dp serve micro (default: all). A specific experiment id (e.g. fig8)
+   also works.
 
    The experiments section executes on the Engine pool
-   ([--backend=procs] switches it to worker subprocesses); the sweep
-   section times the full grid serial vs parallel, checks the outputs
-   are byte-identical and records the result in BENCH_sweep.json; the
-   pool section sweeps task granularity across the serial / domain /
-   subprocess substrates and records per-task dispatch overhead in
-   BENCH_pool.json (regenerate with `make bench-json`). *)
+   ([--backend=procs] switches it to worker subprocesses). Sweep wall
+   time and pool dispatch cost are measured, with repeats, by
+   benchmark/benchmark.exe. *)
 
 open Tiered
 
@@ -823,262 +820,6 @@ let run_extensions () =
   extension_failures ();
   extension_loading ()
 
-(* --- sweep: serial vs parallel grid timing -------------------------------- *)
-
-(* Runs the full experiment grid from cold caches — once serial
-   (jobs=1) and, when the host exposes more than one domain, once on
-   the domain pool — asserts the rendered output is byte-identical,
-   and appends the wall-clock comparison to BENCH_sweep.json so the
-   perf trajectory accumulates across PRs. On a single-core host the
-   parallel leg is skipped: a pool of domains multiplexed onto one
-   core measures scheduler contention, not the engine, so the JSON
-   carries ["speedup": null] and a ["note"] instead of a misleading
-   sub-1x figure, and no speedup target is asserted. *)
-
-let timed_grid ~jobs =
-  Engine.Cache.clear_all ();
-  let metrics = Engine.Metrics.create () in
-  let t0 = Unix.gettimeofday () in
-  let results = Runner.run_experiments ~jobs ~metrics Experiment.all in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  (Runner.render results, wall_s, Engine.Metrics.snapshot metrics)
-
-let run_sweep_bench () =
-  section "Sweep: full experiment grid, serial vs domain pool";
-  let host_domains = Domain.recommended_domain_count () in
-  let n_tasks =
-    List.fold_left
-      (fun acc (e : Experiment.t) -> acc + List.length (e.Experiment.cells ()))
-      0 Experiment.all
-  in
-  let serial_out, serial_s, _ = timed_grid ~jobs:1 in
-  let parallel =
-    if host_domains <= 1 then None
-    else begin
-      let parallel_jobs = max 2 (Engine.Pool.default_jobs ()) in
-      let parallel_out, parallel_s, parallel_snap =
-        timed_grid ~jobs:parallel_jobs
-      in
-      Some (parallel_jobs, parallel_out, parallel_s, parallel_snap)
-    end
-  in
-  let identical =
-    match parallel with
-    | None -> true
-    | Some (_, parallel_out, _, _) -> String.equal serial_out parallel_out
-  in
-  let rows =
-    [
-      [ "grid";
-        Printf.sprintf "%d experiments / %d cells"
-          (List.length Experiment.all) n_tasks ];
-      [ "host domains"; string_of_int host_domains ];
-      [ "serial (jobs=1)"; Printf.sprintf "%.3f s" serial_s ];
-    ]
-    @ (match parallel with
-      | None ->
-          [
-            [ "parallel"; "skipped (single-core host)" ];
-            [ "speedup"; "n/a" ];
-          ]
-      | Some (parallel_jobs, _, parallel_s, parallel_snap) ->
-          let speedup = if parallel_s > 0. then serial_s /. parallel_s else 0. in
-          [
-            [ Printf.sprintf "parallel (jobs=%d)" parallel_jobs;
-              Printf.sprintf "%.3f s" parallel_s ];
-            [ "speedup"; Printf.sprintf "%.2fx" speedup ];
-            [ "pool utilization";
-              Printf.sprintf "%.1f%%"
-                (100. *. parallel_snap.Engine.Metrics.utilization) ];
-          ])
-    @ [ [ "byte-identical output"; (if identical then "yes" else "NO") ] ]
-  in
-  Report.print ppf
-    (Report.make ~title:"Serial vs parallel wall clock (cold caches)"
-       ~header:[ "quantity"; "value" ] rows
-       ~notes:
-         [
-           "results are keyed by task index and merged in submission order, \
-            so the parallel grid must reproduce the serial bytes exactly";
-         ]);
-  let base =
-    Json_out.
-      [
-        ("grid", Str "experiments");
-        ("tasks", Int n_tasks);
-        ("host_domains", Int host_domains);
-        ("jobs_serial", Int 1);
-        ("serial_s", num "%.6f" serial_s);
-      ]
-  in
-  let rest =
-    match parallel with
-    | None ->
-        Json_out.
-          [
-            ("jobs_parallel", Null);
-            ("parallel_s", Null);
-            ("speedup", Null);
-            ("pool_utilization", Null);
-            ("byte_identical", Bool true);
-            ( "note",
-              Str
-                "single-core host: parallel leg skipped, no speedup target \
-                 asserted" );
-          ]
-    | Some (parallel_jobs, _, parallel_s, parallel_snap) ->
-        let speedup = if parallel_s > 0. then serial_s /. parallel_s else 0. in
-        Json_out.
-          [
-            ("jobs_parallel", Int parallel_jobs);
-            ("parallel_s", num "%.6f" parallel_s);
-            ("speedup", num "%.4f" speedup);
-            ( "pool_utilization",
-              num "%.4f" parallel_snap.Engine.Metrics.utilization );
-            ("byte_identical", Bool identical);
-          ]
-  in
-  Json_out.write ppf "BENCH_sweep.json" (base @ rest);
-  if not identical then
-    failwith "sweep: parallel grid output diverged from the serial run"
-
-(* --- pool: dispatch overhead per backend ----------------------------------- *)
-
-(* Pool-aware micro-benchmark: spin-wait tasks of known duration
-   (~1ms / ~10ms / ~100ms) dispatched through each execution substrate
-   (serial fast path, worker domains, worker subprocesses), so the
-   per-task dispatch cost of each backend is isolated from real
-   workload noise. The headline number is overhead per task:
-   (wall - ideal) / tasks, where ideal assumes perfect balance of the
-   spin time over the workers. Subprocess dispatch pays a Marshal
-   round-trip per task, so its overhead floor is the interesting
-   datum: it says how coarse a grid cell must be before --backend
-   procs is free. Results go to BENCH_pool.json. On a single-core
-   host the multi-worker legs are skipped (they would measure
-   scheduler contention, not dispatch cost). *)
-
-let spin task_s =
-  let t0 = Unix.gettimeofday () in
-  (* Busy-wait: sleep would hide dispatch overhead behind the kernel
-     timer slack that Unix.sleepf itself carries. *)
-  while Unix.gettimeofday () -. t0 < task_s do
-    ()
-  done;
-  0
-
-type pool_case = {
-  pc_backend : string;
-  pc_jobs : int;
-  pc_task_s : float;
-  pc_tasks : int;
-  pc_wall_s : float;
-  pc_overhead_us : float;  (* dispatch overhead per task, microseconds *)
-}
-
-let run_pool_bench () =
-  section "Pool: dispatch overhead per backend and task granularity";
-  let host_domains = Domain.recommended_domain_count () in
-  let grains = [ (0.001, 64); (0.01, 32); (0.1, 8) ] in
-  let parallel_jobs = max 2 (Engine.Pool.default_jobs ()) in
-  let legs =
-    (* The domains leg is meaningless on a host that reports one domain
-       (workers would multiplex on the submitter's core), but the procs
-       and remote legs always run: worker *processes* are scheduled by
-       the OS and reach real cores even when [recommended_domain_count]
-       under-reports. The remote leg spawns 2 loopback TCP workers, so
-       its row prices the socket round-trip on top of the Marshal cost
-       the procs row isolates. *)
-    (("serial", Engine.Pool.Domains, 1)
-     ::
-     (if host_domains <= 1 then []
-      else [ ("domains", Engine.Pool.Domains, parallel_jobs) ]))
-    @ [ ("procs", Engine.Pool.Procs, parallel_jobs);
-        ("remote", Engine.Pool.Remote, 2) ]
-  in
-  let cases =
-    List.concat_map
-      (fun (label, backend, jobs) ->
-        Engine.Pool.with_pool ~backend ~jobs (fun pool ->
-            (* Report the backend actually used: a procs or remote
-               request can degrade to domains on hosts where fork/exec
-               (or loopback sockets) fail. *)
-            let label =
-              if
-                (String.equal label "procs" || String.equal label "remote")
-                && Engine.Pool.backend pool = Engine.Pool.Domains
-              then label ^ "(degraded:domains)"
-              else label
-            in
-            List.map
-              (fun (task_s, tasks) ->
-                (* One warm-up map so worker spawn / first-dispatch costs
-                   don't pollute the steady-state figure. *)
-                ignore (Engine.Pool.map pool spin (Array.make jobs 0.0001));
-                let inputs = Array.make tasks task_s in
-                let t0 = Unix.gettimeofday () in
-                ignore (Engine.Pool.map pool spin inputs);
-                let wall_s = Unix.gettimeofday () -. t0 in
-                let ideal_s =
-                  task_s
-                  *. float_of_int ((tasks + jobs - 1) / jobs)
-                in
-                {
-                  pc_backend = label;
-                  pc_jobs = jobs;
-                  pc_task_s = task_s;
-                  pc_tasks = tasks;
-                  pc_wall_s = wall_s;
-                  pc_overhead_us =
-                    1e6 *. Float.max 0. (wall_s -. ideal_s)
-                    /. float_of_int tasks;
-                })
-              grains))
-      legs
-  in
-  Report.print ppf
-    (Report.make
-       ~title:
-         (Printf.sprintf
-            "Per-task dispatch overhead by backend (host domains: %d)"
-            host_domains)
-       ~header:[ "backend"; "jobs"; "task"; "tasks"; "wall (s)"; "overhead/task" ]
-       (List.map
-          (fun c ->
-            [
-              c.pc_backend;
-              string_of_int c.pc_jobs;
-              Printf.sprintf "%.0f ms" (1000. *. c.pc_task_s);
-              string_of_int c.pc_tasks;
-              Printf.sprintf "%.3f" c.pc_wall_s;
-              Printf.sprintf "%.0f us" c.pc_overhead_us;
-            ])
-          cases)
-       ~notes:
-         [
-           "overhead = (wall - ideal) / tasks with ideal assuming perfect \
-            balance; the procs row prices the per-task Marshal round-trip";
-         ]);
-  Json_out.(
-    write ppf "BENCH_pool.json"
-      [
-        ("grid", Str "pool-dispatch");
-        ("host_domains", Int host_domains);
-        ( "cases",
-          Arr
-            (List.map
-               (fun c ->
-                 Obj
-                   [
-                     ("backend", Str c.pc_backend);
-                     ("jobs", Int c.pc_jobs);
-                     ("task_s", num "%g" c.pc_task_s);
-                     ("tasks", Int c.pc_tasks);
-                     ("wall_s", num "%.6f" c.pc_wall_s);
-                     ("overhead_us_per_task", num "%.3f" c.pc_overhead_us);
-                   ])
-               cases) );
-      ])
-
 (* --- dp: tier-DP kernel, quadratic vs divide-and-conquer ------------------- *)
 
 (* Times [Numerics.Segdp.solve] (the region-wise D&C / SMAWK /
@@ -1606,17 +1347,15 @@ let run_micro () =
 
 let () =
   (* Must come first: when this executable is re-invoked as an engine
-     worker subprocess (--backend=procs / the pool section) or a
-     loopback fleet child (the remote leg), serve tasks and exit
-     before any driver logic runs. *)
+     worker subprocess (--backend=procs), serve tasks and exit before
+     any driver logic runs. *)
   Engine.Proc.maybe_run_worker ();
-  Engine.Remote.maybe_run_worker ();
   let raw_args = List.tl (Array.to_list Sys.argv) in
   (* Flags mirror tiered-cli: [--cache] turns on the content-addressed
      disk tier under _cas/, [--cache-max-bytes=N] additionally bounds
-     it (implying [--cache]), [--backend=procs] / [--backend=remote]
-     run the experiments section on worker subprocesses / a loopback
-     TCP fleet. Everything else selects sections or experiment ids. *)
+     it (implying [--cache]), [--backend=procs] runs the experiments
+     section on worker subprocesses. Everything else selects sections
+     or experiment ids. *)
   let cache_max_bytes =
     List.fold_left
       (fun acc a ->
@@ -1672,7 +1411,6 @@ let () =
     Engine.Cache.enable_disk ?max_bytes:cache_max_bytes ~dir:"_cas" ();
   let backend =
     if List.mem "--backend=procs" raw_args then Engine.Pool.Procs
-    else if List.mem "--backend=remote" raw_args then Engine.Pool.Remote
     else Engine.Pool.Domains
   in
   let args =
@@ -1690,8 +1428,6 @@ let () =
     if want "fig17" then run_fig17 ();
     if want "ablations" then run_ablations ();
     if want "extensions" then run_extensions ();
-    if want "sweep" then run_sweep_bench ();
-    if want "pool" then run_pool_bench ();
     if want "dp" then
       run_dp_bench ~sizes:dp_sizes ~bundle_counts:dp_bundles
         ~max_exact:dp_max_exact ();

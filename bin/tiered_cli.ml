@@ -103,43 +103,46 @@ let jobs_arg =
                  count minus one.")
 
 let backend_arg =
-  Arg.(value
-       & opt (enum [ ("domains", Engine.Pool.Domains); ("procs", Engine.Pool.Procs);
-                     ("remote", Engine.Pool.Remote) ])
-           Engine.Pool.Domains
-       & info [ "backend" ] ~docv:"B"
-           ~doc:"Pool backend: $(b,domains) runs worker domains inside this \
-                 process; $(b,procs) forks worker processes of this \
-                 executable and recovers from worker crashes (requeue on a \
-                 surviving worker, bounded retries, replacement spawn); \
-                 $(b,remote) drives a TCP worker fleet (see $(b,--workers)) \
-                 with the same crash recovery plus work stealing, so a slow \
-                 host does not serialize the tail. Output is byte-identical \
-                 in every case.")
-
-let workers_conv =
-  let parse s =
-    match Engine.Remote.parse_spec s with
-    | Ok spec -> Ok spec
-    | Error msg -> Error (`Msg msg)
+  let kind =
+    Arg.(value
+         & opt (enum [ ("domains", `Domains); ("procs", `Procs); ("remote", `Remote) ])
+             `Domains
+         & info [ "backend" ] ~docv:"B"
+             ~doc:"Pool backend: $(b,domains) runs worker domains inside this \
+                   process; $(b,procs) forks worker processes of this \
+                   executable and recovers from worker crashes (requeue on a \
+                   surviving worker, bounded retries, replacement spawn); \
+                   $(b,remote) drives the worker daemons named by \
+                   $(b,--workers) with the same crash recovery plus work \
+                   stealing, so a slow host does not serialize the tail. \
+                   Output is byte-identical in every case.")
   in
-  let print fmt = function
-    | Engine.Remote.Exec n -> Format.fprintf fmt "exec:%d" n
-    | Engine.Remote.Addrs addrs ->
-        Format.pp_print_string fmt
-          (String.concat ","
-             (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) addrs))
+  let workers =
+    let parse s = Result.map_error (fun msg -> `Msg msg) (Engine.Remote.parse_spec s) in
+    let print fmt addrs =
+      Format.pp_print_string fmt
+        (String.concat "," (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) addrs))
+    in
+    Arg.(value & opt (some (conv (parse, print))) None
+         & info [ "workers" ] ~docv:"HOST:PORT,..."
+             ~doc:"With --backend remote (required there): the addresses of \
+                   worker daemons started with $(b,tiered-cli worker --listen \
+                   PORT). The fleet size is the number of addresses; \
+                   $(b,--jobs) does not apply.")
   in
-  Arg.conv (parse, print)
-
-let workers_arg =
-  Arg.(value & opt (some workers_conv) None
-       & info [ "workers" ] ~docv:"SPEC"
-           ~doc:"With --backend remote: the worker fleet, either \
-                 $(b,host:port)[$(b,,host:port)…] — addresses of daemons \
-                 started out-of-band with $(b,tiered-cli worker --listen \
-                 PORT) — or $(b,exec:N) to spawn $(i,N) loopback worker \
-                 children of this executable. Defaults to $(b,exec:)$(i,jobs).")
+  let backend kind workers =
+    match (kind, workers) with
+    | `Domains, None -> Ok Engine.Pool.Domains
+    | `Procs, None -> Ok Engine.Pool.Procs
+    | `Remote, Some addrs -> Ok (Engine.Pool.Remote addrs)
+    | `Remote, None ->
+        Error
+          "--backend remote needs --workers HOST:PORT,... naming worker \
+           daemons; start one on each host with `tiered-cli worker --listen \
+           PORT`"
+    | (`Domains | `Procs), Some _ -> Error "--workers needs --backend remote"
+  in
+  Term.(term_result' ~usage:true (const backend $ kind $ workers))
 
 let worker_retries_arg =
   Arg.(value & opt int 2
@@ -152,11 +155,10 @@ let task_timeout_arg =
        & info [ "task-timeout" ] ~docv:"SECONDS"
            ~doc:"With --backend procs or remote: kill and replace a worker \
                  whose task runs longer than $(docv) (the task is retried \
-                 like a crash). On standalone daemons ($(b,--workers \
-                 host:port,…)) this severs the connection but cannot abort \
-                 the computation already running on the remote host — the \
-                 daemon finishes it, then rejoins the fleet; only \
-                 exec-spawned and $(b,procs) workers are actually killed.")
+                 like a crash). A $(b,remote) daemon only has its \
+                 connection severed: the computation already running on \
+                 its host runs to completion, then the daemon rejoins the \
+                 fleet; only $(b,procs) workers are actually killed.")
 
 let cache_arg =
   Arg.(value & flag
@@ -227,7 +229,7 @@ let run_cmd =
          & info [ "metrics-json" ] ~docv:"FILE"
              ~doc:"Dump the run metrics as JSON into $(docv).")
   in
-  let run ids csv_dir md_dir backend retries timeout_s jobs workers cache
+  let run ids csv_dir md_dir backend retries timeout_s jobs cache
       cache_max_bytes show_metrics metrics_json =
     enable_cache cache cache_max_bytes;
     let experiments =
@@ -254,8 +256,8 @@ let run_cmd =
     in
     let metrics = Engine.Metrics.create () in
     let results =
-      Runner.run_experiments ~backend ~retries ?timeout_s ~jobs ?workers
-        ~metrics experiments
+      Runner.run_experiments ~backend ~retries ?timeout_s ~jobs ~metrics
+        experiments
     in
     List.iter
       (fun (r : Runner.result) ->
@@ -287,8 +289,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Regenerate paper tables/figures (all by default).")
     Term.(const run $ ids_arg $ csv_arg $ md_arg $ backend_arg
-          $ worker_retries_arg $ task_timeout_arg $ jobs_arg $ workers_arg
-          $ cache_arg $ cache_max_bytes_arg $ metrics_arg $ metrics_json_arg)
+          $ worker_retries_arg $ task_timeout_arg $ jobs_arg $ cache_arg
+          $ cache_max_bytes_arg $ metrics_arg $ metrics_json_arg)
 
 (* --- dataset ---------------------------------------------------------------- *)
 
@@ -390,7 +392,7 @@ let sweep_cmd =
                    sequence of resumable slices.")
   in
   let run network demand s0 strategy param backend retries timeout_s jobs
-      workers cache cache_max_bytes manifest chunk =
+      cache cache_max_bytes manifest chunk =
     enable_cache cache cache_max_bytes;
     let values, fit =
       match param with
@@ -417,8 +419,8 @@ let sweep_cmd =
            Experiment.Defaults.bundle_counts
     in
     let map_cells f cells =
-      Engine.Pool.with_pool ~backend ~retries ?timeout_s ~jobs ?workers
-        (fun pool -> Engine.Pool.map_list pool f cells)
+      Engine.Pool.with_pool ~backend ~retries ?timeout_s ~jobs (fun pool ->
+          Engine.Pool.map_list pool f cells)
     in
     let print_table rows =
       Report.print ppf
@@ -516,8 +518,7 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Sweep a model parameter and tabulate profit capture.")
     Term.(const run $ network_arg $ demand_arg $ s0_arg $ strategy_arg $ param_arg
           $ backend_arg $ worker_retries_arg $ task_timeout_arg $ jobs_arg
-          $ workers_arg $ cache_arg $ cache_max_bytes_arg $ manifest_arg
-          $ manifest_chunk_arg)
+          $ cache_arg $ cache_max_bytes_arg $ manifest_arg $ manifest_chunk_arg)
 
 (* --- trace ----------------------------------------------------------------------- *)
 
@@ -871,11 +872,9 @@ let worker_cmd =
 
 let () =
   (* Must come first: when this executable is re-invoked as an engine
-     worker subprocess (--backend procs) or a loopback fleet child
-     (--backend remote), serve tasks and exit before any CLI parsing
-     happens. *)
+     worker subprocess (--backend procs), serve tasks and exit before
+     any CLI parsing happens. *)
   Engine.Proc.maybe_run_worker ();
-  Engine.Remote.maybe_run_worker ();
   let info =
     Cmd.info "tiered-cli" ~version:"1.0.0"
       ~doc:"Tiered transit pricing: reproduction of Valancius et al., SIGCOMM 2011."

@@ -157,10 +157,9 @@ let in_lib file = has_prefix ~prefix:"lib/" file
 let timing_whitelisted file =
   has_prefix ~prefix:"lib/engine/" file || file = "lib/core/runner.ml"
 
-(* H001 / D001-stdout: the worker entry point must terminate the
-   process and re-plumb stdout; everything else in lib/ may not. *)
-let worker_entry file =
-  file = "lib/engine/proc.ml" || file = "lib/engine/remote.ml"
+(* H001: the subprocess worker entry point must terminate the process;
+   everything else in lib/ may not. *)
+let worker_entry file = file = "lib/engine/proc.ml"
 
 (* --- ident classification ------------------------------------------------- *)
 

@@ -11,8 +11,7 @@ type result = {
    cells interleave with everything else instead of pinning a domain.
    Outputs are sliced back per experiment and assembled in submission
    order, which keeps the rendered bytes independent of [jobs]. *)
-let run_experiments ?backend ?retries ?timeout_s ?jobs ?workers ?metrics
-    experiments =
+let run_experiments ?backend ?retries ?timeout_s ?jobs ?metrics experiments =
   let exps = Array.of_list experiments in
   let plans =
     Array.map (fun (e : Experiment.t) -> Array.of_list (e.Experiment.cells ())) exps
@@ -24,7 +23,7 @@ let run_experiments ?backend ?retries ?timeout_s ?jobs ?workers ?metrics
   in
   let t0 = Unix.gettimeofday () in
   let outputs, n_jobs, domain_busy, used_backend, worker_restarts =
-    Engine.Pool.with_pool ?backend ?retries ?timeout_s ?jobs ?workers
+    Engine.Pool.with_pool ?backend ?retries ?timeout_s ?jobs
       (fun pool ->
         let outputs =
           Engine.Pool.map pool

@@ -24,7 +24,6 @@ val run_experiments :
   ?retries:int ->
   ?timeout_s:float ->
   ?jobs:int ->
-  ?workers:Engine.Remote.spec ->
   ?metrics:Engine.Metrics.t ->
   Experiment.t list ->
   result list
@@ -32,8 +31,8 @@ val run_experiments :
     {!Engine.Pool.default_jobs}; [1] is fully serial). [backend]
     selects the execution substrate (default {!Engine.Pool.Domains});
     [retries] and [timeout_s] tune the {!Engine.Pool.Procs} and
-    {!Engine.Pool.Remote} backends' crash recovery, and [workers] the
-    remote fleet (see {!Engine.Pool.create}). Results are in input
+    {!Engine.Pool.Remote} backends' crash recovery (see
+    {!Engine.Pool.create}). Results are in input
     order regardless of backend; [wall_s] is the sum of the
     experiment's cell times plus its assembly time. When [metrics] is
     given, per-cell wall times (in submission order, labelled

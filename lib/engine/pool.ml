@@ -1,11 +1,11 @@
 exception Task_failed of { index : int; exn : exn; backtrace : string }
 
-type backend = Domains | Procs | Remote
+type backend = Domains | Procs | Remote of (string * int) list
 
 let backend_name = function
   | Domains -> "domains"
   | Procs -> "procs"
-  | Remote -> "remote"
+  | Remote _ -> "remote"
 
 type t = {
   n_jobs : int;
@@ -25,9 +25,9 @@ type t = {
   proc : Proc.t option;
       (* [Some _] when the subprocess backend is active; the domain
          machinery above is then unused. *)
-  remote : Remote.t option;
-      (* [Some _] when the TCP fleet backend is active; mutually
-         exclusive with [proc]. *)
+  remote : ((string * int) list * Remote.t) option;
+      (* [Some (addresses, fleet)] when the TCP fleet backend is active;
+         mutually exclusive with [proc]. *)
 }
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
@@ -35,13 +35,13 @@ let jobs t = t.n_jobs
 let backend t =
   match (t.proc, t.remote) with
   | Some _, _ -> Procs
-  | None, Some _ -> Remote
+  | None, Some (addrs, _) -> Remote addrs
   | None, None -> Domains
 
 let restarts t =
   match (t.proc, t.remote) with
   | Some p, _ -> Proc.restarts p
-  | None, Some r -> Remote.restarts r
+  | None, Some (_, r) -> Remote.restarts r
   | None, None -> 0
 
 let add_busy t idx dt =
@@ -57,7 +57,7 @@ let add_caller_busy t dt =
 let busy_times t =
   match (t.proc, t.remote) with
   | Some p, _ -> Proc.busy_times p
-  | None, Some r -> Remote.busy_times r
+  | None, Some (_, r) -> Remote.busy_times r
   | None, None ->
       Mutex.lock t.mutex;
       (* A pool without worker domains has exactly one execution slot —
@@ -104,13 +104,13 @@ let worker t idx =
   in
   next ()
 
-let create ?(backend = Domains) ?retries ?timeout_s ?jobs ?workers () =
+let create ?(backend = Domains) ?retries ?timeout_s ?jobs () =
   let n_jobs =
     match jobs with Some j -> max 1 j | None -> default_jobs ()
   in
   let proc =
     match backend with
-    | Domains | Remote -> None
+    | Domains | Remote _ -> None
     | Procs -> (
         match Proc.create ~workers:n_jobs ?retries ?timeout_s () with
         | p -> Some p
@@ -127,16 +127,12 @@ let create ?(backend = Domains) ?retries ?timeout_s ?jobs ?workers () =
   let remote =
     match backend with
     | Domains | Procs -> None
-    | Remote -> (
-        let spec =
-          match workers with Some s -> s | None -> Remote.Exec n_jobs
-        in
-        match Remote.create ?retries ?timeout_s spec with
-        | r -> Some r
+    | Remote addrs -> (
+        match Remote.create ?retries ?timeout_s addrs with
+        | r -> Some (addrs, r)
         | exception exn ->
-            (* Same degradation story as Procs: a host where the fleet
-               cannot come up (no loopback, exec failure, dead remote
-               addresses) still runs, just in-process. *)
+            (* Same degradation story as Procs: when not one daemon
+               answers, the run still completes, just in-process. *)
             Printf.eprintf
               "engine: remote backend unavailable (%s); falling back to the \
                domain backend\n\
@@ -144,7 +140,9 @@ let create ?(backend = Domains) ?retries ?timeout_s ?jobs ?workers () =
               (Printexc.to_string exn);
             None)
   in
-  let n_jobs = match remote with Some r -> Remote.workers r | None -> n_jobs in
+  let n_jobs =
+    match remote with Some (_, r) -> Remote.workers r | None -> n_jobs
+  in
   let t =
     {
       n_jobs;
@@ -169,7 +167,7 @@ let create ?(backend = Domains) ?retries ?timeout_s ?jobs ?workers () =
 
 let shutdown t =
   (match t.proc with Some p -> Proc.shutdown p | None -> ());
-  (match t.remote with Some r -> Remote.shutdown r | None -> ());
+  (match t.remote with Some (_, r) -> Remote.shutdown r | None -> ());
   Mutex.lock t.mutex;
   t.stop <- true;
   Condition.broadcast t.nonempty;
@@ -177,8 +175,8 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-let with_pool ?backend ?retries ?timeout_s ?jobs ?workers f =
-  let t = create ?backend ?retries ?timeout_s ?jobs ?workers () in
+let with_pool ?backend ?retries ?timeout_s ?jobs f =
+  let t = create ?backend ?retries ?timeout_s ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let run_task f x =
@@ -208,7 +206,7 @@ let map t f tasks =
       (* Subprocess backend: Proc merges by task index already; reuse
          [collect] for the deterministic lowest-index failure report. *)
       collect (Array.map (fun r -> Some r) (Proc.map p f tasks))
-  | None, Some r ->
+  | None, Some (_, r) ->
       collect (Array.map (fun res -> Some res) (Remote.map r f tasks))
   | None, None ->
       let n = Array.length tasks in

@@ -21,16 +21,14 @@
       {!Proc.maybe_run_worker} first; if no worker can be spawned the
       pool degrades to the domain backend (see {!backend} for the
       backend actually in use).
-    - {!Remote}: TCP fleet workers ({!Remote}): either loopback
-      children of the current executable ([Remote.Exec], the default
-      when no [workers] spec is given — [jobs] sets the fleet size) or
-      out-of-band daemons addressed by [host:port] ([Remote.Addrs],
-      from the CLI's [--workers] list). Same scheduler as {!Procs}
-      (shared {!Transport}): crash recovery, bounded retries, per-task
+    - {!Remote}: TCP fleet workers ({!Remote}): daemons started
+      out-of-band with [tiered-cli worker --listen PORT], addressed by
+      [(host, port)] (the CLI's [--workers] list); the fleet size is
+      the number of addresses. Same scheduler as {!Procs} (shared
+      {!Transport}): crash recovery, bounded retries, per-task
       timeouts, work stealing, and a CAS side-channel so workers share
-      artifacts by digest. Requires every entry point to call
-      {!Remote.maybe_run_worker} after {!Proc.maybe_run_worker};
-      degrades to the domain backend when no worker comes up.
+      artifacts by digest. Degrades to the domain backend when no
+      daemon answers.
 
     [jobs] counts workers. The default is
     [Domain.recommended_domain_count () - 1], reserving one core for
@@ -38,7 +36,7 @@
 
 type t
 
-type backend = Domains | Procs | Remote
+type backend = Domains | Procs | Remote of (string * int) list
 
 val backend_name : backend -> string
 (** ["domains"] / ["procs"] / ["remote"] — the identity threaded into
@@ -61,7 +59,6 @@ val create :
   ?retries:int ->
   ?timeout_s:float ->
   ?jobs:int ->
-  ?workers:Remote.spec ->
   unit ->
   t
 (** Spawn the workers ([jobs] defaults to {!default_jobs}; values
@@ -69,10 +66,8 @@ val create :
     [retries] (default [2]) and [timeout_s] (default none) only apply
     to the {!Procs} and {!Remote} backends: how many times a task
     whose worker died is re-executed, and how long one task may run
-    before its worker is killed and replaced. [workers] only applies
-    to {!Remote} and selects the fleet ([Remote.Exec jobs] when
-    omitted); when it names remote addresses, {!jobs} reports the
-    fleet size. *)
+    before its worker is killed and replaced. Under {!Remote} [jobs]
+    is ignored and {!jobs} reports the fleet size. *)
 
 val jobs : t -> int
 
@@ -114,7 +109,6 @@ val with_pool :
   ?retries:int ->
   ?timeout_s:float ->
   ?jobs:int ->
-  ?workers:Remote.spec ->
   (t -> 'a) ->
   'a
 (** [create], run, then {!shutdown} (also on exception). *)

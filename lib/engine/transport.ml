@@ -393,7 +393,12 @@ let make_sched ?(retries = 2) ?timeout_s ?(steal_after = 1.0) ~respawn
     s_slots = Array.map (Option.map (fun ep -> { ep; job = None })) endpoints;
     s_busy = Array.make n 0.;
     s_respawn = respawn;
-    s_respawn_at = Array.make n Float.infinity;
+    (* A slot whose worker never came up is retried like a crashed one,
+       starting one backoff step from now. *)
+    s_respawn_at =
+      Array.map
+        (function Some _ -> Float.infinity | None -> now () +. 1.0)
+        endpoints;
     s_respawn_backoff = Array.make n 1.0;
     s_store = Store.create ();
     s_restarts = 0;

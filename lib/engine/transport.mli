@@ -158,8 +158,8 @@ val make_sched :
   endpoint option array ->
   sched
 (** A scheduler over pre-connected endpoints ([None] slots are workers
-    that failed to come up; they may be refilled by [respawn] after a
-    crash). [retries] (default [2]) bounds how many crashed executions
+    that failed to come up; like crashed workers' slots they are
+    refilled by [respawn] under the backoff below). [retries] (default [2]) bounds how many crashed executions
     a task absorbs before [Worker_lost]; [timeout_s] kills a worker
     stuck on one task; [steal_after] (default [1.0]s, clamped to
     [>= 0.01]) is the in-flight age below which tasks are never

@@ -121,7 +121,7 @@ let snapshot ?pool t ~bin ~retire_s =
        the domain backend may parallelize here. *)
     | Some pool when k > 1 && (match Engine.Pool.backend pool with
                               | Engine.Pool.Domains -> true
-                              | Engine.Pool.Procs | Engine.Pool.Remote -> false)
+                              | Engine.Pool.Procs | Engine.Pool.Remote _ -> false)
       ->
         Engine.Pool.map pool
           (fun i -> drain t.wp t.parts.(i) ~bin ~retire_s)

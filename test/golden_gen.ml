@@ -18,7 +18,6 @@ let () =
      worker (never happens under the @golden alias, but keeps the
      binary safe to run with --backend-style harnesses). *)
   Engine.Proc.maybe_run_worker ();
-  Engine.Remote.maybe_run_worker ();
   match Array.to_list Sys.argv with
   | [ _; "--one"; id ] -> print_string (render_one id)
   | [ _; dir ] ->

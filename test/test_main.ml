@@ -3,9 +3,15 @@
    exit before Alcotest parses argv. *)
 let () = Engine.Proc.maybe_run_worker ()
 
-(* Same for the TCP fleet backend: Exec-mode tests spawn this binary
-   with --engine-remote-worker=connect:... *)
-let () = Engine.Remote.maybe_run_worker ()
+(* Test-local entry for the TCP fleet tests: Test_remote starts
+   loopback worker daemons by re-invoking this binary with
+   [Test_remote.daemon_flag BIND PORT]. *)
+let () =
+  match Sys.argv with
+  | [| _; flag; bind; port |] when String.equal flag Test_remote.daemon_flag ->
+      (* [?token:None]: the daemon's secret comes from its environment. *)
+      Engine.Remote.serve_forever ~bind ?token:None ~port:(int_of_string port)
+  | _ -> ()
 
 let () =
   Alcotest.run "tiered-pricing"

@@ -1,119 +1,103 @@
-(* Engine.Remote: the TCP fleet backend, exercised end-to-end over
-   loopback workers (this test binary re-invokes itself through
-   --engine-remote-worker=connect:…; Test_main calls
-   Remote.maybe_run_worker first). Mirrors the subprocess-backend
-   tests in Test_engine: identical task semantics, plus the TCP-only
-   paths — the CAS side-channel and the standalone daemon. *)
+(* Engine.Remote: the TCP fleet backend, exercised end-to-end against
+   loopback worker daemons — this test binary re-invoked with
+   [daemon_flag], which Test_main routes straight to
+   Remote.serve_forever. Crash recovery, bounded retries and task
+   failures belong to the shared Transport scheduler and are covered
+   by Test_engine and Test_transport; here: byte-identity, the CAS
+   side-channel, the daemon lifecycle, the shared secret and address
+   handling. *)
 
 open Tiered
 
-(* The remote tests require the fleet to actually come up. A degraded
-   pool would make the self-kill tasks below kill the test process, so
-   assert loudly instead. *)
-let require_remote pool =
-  if Engine.Pool.backend pool <> Engine.Pool.Remote then
-    Alcotest.fail
-      "remote backend unavailable (loopback spawn failed); cannot run this test"
+let daemon_flag = "--test-remote-daemon"
+
+(* An unused port on [addr]: bind an ephemeral listener, read the port
+   back and close it — a race in principle, but the daemon rebinds it
+   immediately. *)
+let free_port addr =
+  let sockaddr = Unix.ADDR_INET (addr, 0) in
+  let s = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close s) @@ fun () ->
+  Unix.setsockopt s Unix.SO_REUSEADDR true;
+  Unix.bind s sockaddr;
+  match Unix.getsockname s with
+  | Unix.ADDR_INET (_, p) -> p
+  | Unix.ADDR_UNIX _ -> assert false
+
+(* Run [f port] against a worker daemon listening on [bind]. [token],
+   when given, replaces the shared secret the daemon would inherit from
+   this process's environment. The daemon is killed afterwards. *)
+let with_daemon ?(bind = "127.0.0.1") ?token f =
+  let port = free_port (Unix.inet_addr_of_string bind) in
+  let env =
+    match token with
+    | None -> Unix.environment ()
+    | Some token ->
+        let prefix = Engine.Remote.token_env ^ "=" in
+        Array.of_list
+          (List.filter
+             (fun kv -> not (String.starts_with ~prefix kv))
+             (Array.to_list (Unix.environment ()))
+          @ [ prefix ^ token ])
+  in
+  let exe = Sys.executable_name in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
+    Unix.create_process_env exe
+      [| exe; daemon_flag; bind; string_of_int port |]
+      env null Unix.stderr Unix.stderr
+  in
+  let finally () =
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (try Unix.waitpid [] pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0))
+  in
+  Fun.protect ~finally (fun () -> f port)
+
+(* Connect a fleet, retrying while the daemons come up. *)
+let with_fleet ?token addrs f =
+  let rec connect tries =
+    match Engine.Remote.create ?token addrs with
+    | fleet -> fleet
+    | exception Engine.Remote.Spawn_failure _ when tries > 0 ->
+        Unix.sleepf 0.1;
+        connect (tries - 1)
+  in
+  let fleet = connect 50 in
+  Fun.protect ~finally:(fun () -> Engine.Remote.shutdown fleet) (fun () -> f fleet)
+
+(* Block until the daemon on [port] serves, so a pool created next
+   cannot silently degrade to domains. *)
+let await_daemon port = with_fleet [ ("127.0.0.1", port) ] ignore
 
 (* (a) Byte-identity across substrates: the same grid rendered through
-   a 2-worker loopback fleet equals the serial rendering exactly. *)
+   a fleet of two daemons equals the serial rendering exactly. *)
 let test_remote_backend_identical () =
+  with_daemon @@ fun p1 ->
+  with_daemon @@ fun p2 ->
+  await_daemon p1;
+  await_daemon p2;
   let grid = List.map Experiment.find [ "table1"; "fig8" ] in
   let serial = Runner.render (Runner.run_experiments ~jobs:1 grid) in
+  let metrics = Engine.Metrics.create () in
   let remote =
     Runner.render
-      (Runner.run_experiments ~backend:Engine.Pool.Remote ~jobs:2 grid)
+      (Runner.run_experiments
+         ~backend:(Engine.Pool.Remote [ ("127.0.0.1", p1); ("127.0.0.1", p2) ])
+         ~metrics grid)
   in
+  Alcotest.(check string) "ran on the fleet" "remote"
+    (Engine.Metrics.snapshot metrics).Engine.Metrics.backend;
   Alcotest.(check string) "remote rendering byte-identical" serial remote
 
-(* (b) Fault injection: SIGKILL a fleet worker mid-map. The in-flight
-   task is retried on a surviving/replacement worker, results are
-   byte-identical to an undisturbed run, and the restart is counted. *)
-let test_remote_worker_kill_recovers () =
-  Engine.Pool.with_pool ~backend:Engine.Pool.Remote ~jobs:2 ~retries:2
-    (fun pool ->
-      require_remote pool;
-      let sentinel = Filename.temp_file "engine-remote-kill" ".sentinel" in
-      Sys.remove sentinel;
-      Fun.protect ~finally:(fun () ->
-          try Sys.remove sentinel with Sys_error _ -> ())
-      @@ fun () ->
-      let f i =
-        if i = 3 && not (Sys.file_exists sentinel) then begin
-          let oc = open_out sentinel in
-          close_out oc;
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-        end;
-        i * 2
-      in
-      let out = Engine.Pool.map pool f (Array.init 8 (fun i -> i)) in
-      Alcotest.(check (array int))
-        "results identical despite the crash"
-        (Array.init 8 (fun i -> i * 2))
-        out;
-      Alcotest.(check bool)
-        (Printf.sprintf "restart recorded (%d)" (Engine.Pool.restarts pool))
-        true
-        (Engine.Pool.restarts pool >= 1);
-      let again = Engine.Pool.map pool (fun i -> i + 1) [| 1; 2; 3 |] in
-      Alcotest.(check (array int)) "fleet alive after crash" [| 2; 3; 4 |] again)
-
-(* (c) Retry exhaustion is deterministic: attempts = retries + 1, the
-   lowest failing index surfaces, the map neither hangs nor poisons
-   the other tasks. *)
-let test_remote_retry_exhaustion () =
-  Engine.Pool.with_pool ~backend:Engine.Pool.Remote ~jobs:2 ~retries:1
-    (fun pool ->
-      require_remote pool;
-      let f i =
-        if i = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
-        i + 10
-      in
-      match Engine.Pool.map pool f [| 0; 1; 2; 3 |] with
-      | _ -> Alcotest.fail "expected Task_failed"
-      | exception Engine.Pool.Task_failed { index; exn; _ } -> (
-          Alcotest.(check int) "deterministic failing index" 1 index;
-          match exn with
-          | Engine.Remote.Worker_lost { attempts; _ } ->
-              Alcotest.(check int) "retries=1 means two attempts" 2 attempts
-          | other ->
-              Alcotest.failf "expected Worker_lost, got %s"
-                (Printexc.to_string other)))
-
-(* (d) A task exception inside a fleet worker is a failure report, not
-   a crash: no retry, surfaced as Remote_failure with the printed
-   exception. *)
-let test_remote_task_failure () =
-  Engine.Pool.with_pool ~backend:Engine.Pool.Remote ~jobs:2 ~retries:2
-    (fun pool ->
-      require_remote pool;
-      match
-        Engine.Pool.map pool
-          (fun i -> if i = 2 then failwith "remote boom" else i)
-          [| 0; 1; 2; 3 |]
-      with
-      | _ -> Alcotest.fail "expected Task_failed"
-      | exception Engine.Pool.Task_failed { index; exn; _ } -> (
-          Alcotest.(check int) "failing index" 2 index;
-          Alcotest.(check int) "a raising task is not a worker loss" 0
-            (Engine.Pool.restarts pool);
-          match exn with
-          | Engine.Remote.Remote_failure { message } ->
-              Alcotest.(check string) "printed exception carried over"
-                (Printexc.to_string (Failure "remote boom"))
-                message
-          | other ->
-              Alcotest.failf "expected Remote_failure, got %s"
-                (Printexc.to_string other)))
-
-(* (e) The CAS side-channel: a worker that misses an artifact fetches
+(* (b) The CAS side-channel: a worker that misses an artifact fetches
    it from the parent's store by digest over its task connection. The
    parent store is pre-seeded with the marshalled payload; the task's
    compute function raises, so only a successful remote fetch can
    produce the value. *)
 let test_remote_cas_fetch () =
-  let fleet = Engine.Remote.create (Engine.Remote.Exec 1) in
-  Fun.protect ~finally:(fun () -> Engine.Remote.shutdown fleet) @@ fun () ->
+  with_daemon @@ fun port ->
+  with_fleet [ ("127.0.0.1", port) ] @@ fun fleet ->
   let cache = Engine.Cache.create ~name:"test-remote-cas" ~schema:"v1" () in
   let key = ("artifact", 7) in
   let payload = Engine.Cache.Private.payload_of_value cache "fetched-over-tcp" in
@@ -134,12 +118,12 @@ let test_remote_cas_fetch () =
   | Error (exn, _) ->
       Alcotest.failf "fetch failed: %s" (Printexc.to_string exn)
 
-(* (f) The publish direction: with no disk tier in the parent, a
+(* (c) The publish direction: with no disk tier in the parent, a
    worker's computed artifact lands in the parent's in-memory store
    under the cache name and key digest. *)
 let test_remote_cas_publish () =
-  let fleet = Engine.Remote.create (Engine.Remote.Exec 1) in
-  Fun.protect ~finally:(fun () -> Engine.Remote.shutdown fleet) @@ fun () ->
+  with_daemon @@ fun port ->
+  with_fleet [ ("127.0.0.1", port) ] @@ fun fleet ->
   let key = ("published", 1) in
   let out =
     Engine.Remote.map fleet
@@ -162,174 +146,103 @@ let test_remote_cas_publish () =
       Alcotest.(check bool) "published payload is non-empty" true
         (String.length payload > 0)
 
-(* (g) Spec parsing: the --workers syntax. *)
+(* (d) Spec parsing: the --workers syntax. The port splits off at the
+   last colon, so IPv6 literals need no brackets. *)
 let test_parse_spec () =
-  (match Engine.Remote.parse_spec "exec:3" with
-  | Ok (Engine.Remote.Exec 3) -> ()
-  | Ok _ -> Alcotest.fail "exec:3 parsed to the wrong spec"
-  | Error msg -> Alcotest.failf "exec:3 rejected: %s" msg);
-  (match Engine.Remote.parse_spec "10.0.0.1:7000,host-b:7001" with
-  | Ok (Engine.Remote.Addrs [ ("10.0.0.1", 7000); ("host-b", 7001) ]) -> ()
-  | Ok _ -> Alcotest.fail "address list parsed to the wrong spec"
+  (match Engine.Remote.parse_spec "10.0.0.1:7000,host-b:7001,::1:7002" with
+  | Ok [ ("10.0.0.1", 7000); ("host-b", 7001); ("::1", 7002) ] -> ()
+  | Ok _ -> Alcotest.fail "address list parsed to the wrong addresses"
   | Error msg -> Alcotest.failf "address list rejected: %s" msg);
   List.iter
     (fun bad ->
       match Engine.Remote.parse_spec bad with
       | Ok _ -> Alcotest.failf "%S parsed but should not" bad
       | Error _ -> ())
-    [ ""; "exec:0"; "exec:x"; "nohost"; "host:"; "host:0"; "host:notaport" ]
+    [ ""; "nohost"; ":7000"; "host:"; "host:0"; "host:65536"; "host:notaport" ]
 
-(* (h) The standalone daemon path: a worker started with serve_forever
-   semantics (here: a listener the fleet connects out to) serves a
-   map, survives the parent disconnecting, and serves a second parent
-   — in-memory caches staying warm across connections. *)
+(* (e) The daemon lifecycle: a daemon serves a map, survives the
+   parent disconnecting, and serves a second parent. *)
 let test_remote_daemon_reconnect () =
-  (* Bind the daemon port first so the fleet has something to dial. *)
-  let exe = Sys.executable_name in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let port =
-    (* Pick a free port by binding an ephemeral listener, reading the
-       port back, and closing it — a race in principle, but the daemon
-       child rebinds it immediately. *)
-    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt s Unix.SO_REUSEADDR true;
-    Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let p =
-      match Unix.getsockname s with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> assert false
-    in
-    Unix.close s;
-    p
-  in
-  let pid =
-    Unix.create_process exe
-      [| exe; "--engine-remote-worker=listen:" ^ string_of_int port |]
-      null Unix.stderr Unix.stderr
-  in
-  Unix.close null;
-  let finally () =
-    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-    ignore (try Unix.waitpid [] pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0))
-  in
-  Fun.protect ~finally @@ fun () ->
-  let addrs = Engine.Remote.Addrs [ ("127.0.0.1", port) ] in
-  let connect_with_patience () =
-    (* The daemon child needs a moment to bind. *)
-    let rec go tries =
-      match Engine.Remote.create addrs with
-      | fleet -> fleet
-      | exception Engine.Remote.Spawn_failure _ when tries > 0 ->
-          Unix.sleepf 0.1;
-          go (tries - 1)
-    in
-    go 50
-  in
-  let fleet = connect_with_patience () in
-  let out = Engine.Remote.map fleet (fun i -> i * 3) [| 1; 2; 3 |] in
-  Alcotest.(check bool) "first connection maps" true
-    (Array.for_all Result.is_ok out);
-  Engine.Remote.shutdown fleet;
-  (* Second parent: the daemon must accept a fresh connection. *)
-  let fleet2 = connect_with_patience () in
-  let out2 = Engine.Remote.map fleet2 (fun i -> i + 1) [| 10 |] in
-  (match out2.(0) with
+  with_daemon @@ fun port ->
+  let addrs = [ ("127.0.0.1", port) ] in
+  with_fleet addrs (fun fleet ->
+      let out = Engine.Remote.map fleet (fun i -> i * 3) [| 1; 2; 3 |] in
+      Alcotest.(check bool) "first connection maps" true
+        (Array.for_all Result.is_ok out));
+  with_fleet addrs @@ fun fleet ->
+  match (Engine.Remote.map fleet (fun i -> i + 1) [| 10 |]).(0) with
   | Ok v -> Alcotest.(check int) "second connection maps" 11 v
   | Error (exn, _) ->
-      Alcotest.failf "second connection failed: %s" (Printexc.to_string exn));
-  Engine.Remote.shutdown fleet2
+      Alcotest.failf "second connection failed: %s" (Printexc.to_string exn)
 
-(* (i) Shared-secret enforcement on the daemon path: a daemon holding
-   a token serves a parent presenting the same token and rejects one
-   presenting another — the rejection happens at the preamble, before
-   any closure-carrying frame could be unmarshalled. *)
+(* (f) Shared-secret enforcement: a daemon holding a token serves a
+   parent presenting the same token and rejects one presenting another
+   — the rejection happens at the preamble, before any
+   closure-carrying frame could be unmarshalled. *)
 let test_remote_daemon_token_auth () =
-  let exe = Sys.executable_name in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let port =
-    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt s Unix.SO_REUSEADDR true;
-    Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let p =
-      match Unix.getsockname s with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> assert false
-    in
-    Unix.close s;
-    p
-  in
-  let env =
-    let prefix = Engine.Remote.token_env ^ "=" in
-    let plen = String.length prefix in
-    let keep =
-      Array.to_list (Unix.environment ())
-      |> List.filter (fun kv ->
-             not
-               (String.length kv >= plen
-               && String.equal (String.sub kv 0 plen) prefix))
-    in
-    Array.of_list (keep @ [ prefix ^ "s3cret" ])
-  in
-  let pid =
-    Unix.create_process_env exe
-      [| exe; "--engine-remote-worker=listen:" ^ string_of_int port |]
-      env null Unix.stderr Unix.stderr
-  in
-  Unix.close null;
-  let finally () =
-    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-    ignore (try Unix.waitpid [] pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0))
-  in
-  Fun.protect ~finally @@ fun () ->
-  let addrs = Engine.Remote.Addrs [ ("127.0.0.1", port) ] in
-  (* Correct token (with patience for the daemon to bind). *)
-  let fleet =
-    let rec go tries =
-      match Engine.Remote.create ~token:"s3cret" addrs with
-      | fleet -> fleet
-      | exception Engine.Remote.Spawn_failure _ when tries > 0 ->
-          Unix.sleepf 0.1;
-          go (tries - 1)
-    in
-    go 50
-  in
-  let out = Engine.Remote.map fleet (fun i -> i * 7) [| 6 |] in
-  (match out.(0) with
-  | Ok v -> Alcotest.(check int) "authenticated parent maps" 42 v
-  | Error (exn, _) ->
-      Alcotest.failf "authenticated map failed: %s" (Printexc.to_string exn));
-  Engine.Remote.shutdown fleet;
-  (* Wrong token: the daemon is demonstrably up (we just used it), so
-     Spawn_failure here can only be the auth rejection. *)
-  (match Engine.Remote.create ~token:"wrong" addrs with
-  | fleet ->
-      Engine.Remote.shutdown fleet;
-      Alcotest.fail "daemon accepted a parent with the wrong token"
-  | exception Engine.Remote.Spawn_failure _ -> ());
-  (* And no token at all is equally rejected. *)
-  match Engine.Remote.create ~token:"" addrs with
-  | fleet ->
-      Engine.Remote.shutdown fleet;
-      Alcotest.fail "daemon accepted a parent with no token"
-  | exception Engine.Remote.Spawn_failure _ -> ()
+  with_daemon ~token:"s3cret" @@ fun port ->
+  let addrs = [ ("127.0.0.1", port) ] in
+  with_fleet ~token:"s3cret" addrs (fun fleet ->
+      match (Engine.Remote.map fleet (fun i -> i * 7) [| 6 |]).(0) with
+      | Ok v -> Alcotest.(check int) "authenticated parent maps" 42 v
+      | Error (exn, _) ->
+          Alcotest.failf "authenticated map failed: %s" (Printexc.to_string exn));
+  (* The daemon is demonstrably up (we just used it), so Spawn_failure
+     here can only be the auth rejection — for a wrong token and for
+     none at all. *)
+  List.iter
+    (fun token ->
+      match Engine.Remote.create ~token addrs with
+      | fleet ->
+          Engine.Remote.shutdown fleet;
+          Alcotest.failf "daemon accepted a parent with token %S" token
+      | exception Engine.Remote.Spawn_failure _ -> ())
+    [ "wrong"; "" ]
 
-(* (j) Binding beyond loopback without a shared secret is refused
+(* (g) Binding beyond loopback without a shared secret is refused
    outright — an open port accepts closures, i.e. arbitrary code. *)
 let test_serve_forever_refuses_open_bind_without_token () =
   match Engine.Remote.serve_forever ~bind:"0.0.0.0" ~token:"" ~port:1 with
   | _ -> Alcotest.fail "serve_forever bound 0.0.0.0 without a token"
   | exception Failure _ -> ()
 
+(* (h) An IPv6 bind gets an IPv6 listener: a daemon on ::1 serves a
+   fleet addressed as ::1:PORT. *)
+let test_remote_daemon_ipv6 () =
+  (match free_port Unix.inet6_addr_loopback with
+  | _ -> ()
+  | exception Unix.Unix_error _ -> Alcotest.skip ());
+  with_daemon ~bind:"::1" @@ fun port ->
+  with_fleet [ ("::1", port) ] @@ fun fleet ->
+  match (Engine.Remote.map fleet (fun i -> i * 5) [| 9 |]).(0) with
+  | Ok v -> Alcotest.(check int) "mapped over ::1" 45 v
+  | Error (exn, _) -> Alcotest.failf "map failed: %s" (Printexc.to_string exn)
+
+(* (i) Every address gets its chance: a closed port listed first does
+   not degrade the pool while a live daemon is listed after it. The
+   tasks report their pid, so running them in this process would
+   show. *)
+let test_remote_dead_first_address () =
+  with_daemon @@ fun port ->
+  await_daemon port;
+  let dead = free_port Unix.inet_addr_loopback in
+  Engine.Pool.with_pool
+    ~backend:(Engine.Pool.Remote [ ("127.0.0.1", dead); ("127.0.0.1", port) ])
+  @@ fun pool ->
+  (match Engine.Pool.backend pool with
+  | Engine.Pool.Remote _ -> ()
+  | Engine.Pool.Domains | Engine.Pool.Procs ->
+      Alcotest.fail "pool degraded although a live daemon was listed");
+  let out = Engine.Pool.map pool (fun i -> (i * i, Unix.getpid ())) (Array.init 8 Fun.id) in
+  Alcotest.(check (array int)) "results" (Array.init 8 (fun i -> i * i))
+    (Array.map fst out);
+  Alcotest.(check bool) "ran in the daemon" true
+    (Array.for_all (fun (_, pid) -> pid <> Unix.getpid ()) out)
+
 let suite =
   [
     Alcotest.test_case "remote backend renders byte-identically" `Slow
       test_remote_backend_identical;
-    Alcotest.test_case "remote backend recovers from a killed worker" `Quick
-      test_remote_worker_kill_recovers;
-    Alcotest.test_case "remote backend exhausts retries deterministically"
-      `Quick test_remote_retry_exhaustion;
-    Alcotest.test_case "remote backend reports task exceptions" `Quick
-      test_remote_task_failure;
     Alcotest.test_case "workers fetch artifacts from the parent store" `Quick
       test_remote_cas_fetch;
     Alcotest.test_case "workers publish artifacts to the parent store" `Quick
@@ -341,4 +254,8 @@ let suite =
       test_remote_daemon_token_auth;
     Alcotest.test_case "non-loopback bind requires a shared secret" `Quick
       test_serve_forever_refuses_open_bind_without_token;
+    Alcotest.test_case "IPv6 daemon serves a ::1 fleet" `Quick
+      test_remote_daemon_ipv6;
+    Alcotest.test_case "a dead first address does not sink the fleet" `Quick
+      test_remote_dead_first_address;
   ]
