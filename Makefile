@@ -1,23 +1,13 @@
-# Convenience wrappers around dune. `make bench-dp` regenerates
-# BENCH_dp.json (tier-DP kernel: certified
-# ladder vs exact quadratic across demand specs and market sizes —
-# the n=50k exact legs make this the slow one; `make bench-dp-smoke`
-# is the CI variant, which still covers n=200k via the sampled-column
-# check), and `make bench-serve` regenerates
-# BENCH_serve.json (streaming daemon, end to end from the wire: a
-# churned multi-day stream is encoded to a binary NetFlow v5/IPFIX
-# file and replayed through the sharded daemon; ingest throughput,
-# re-tier latency and steady-state RSS are recorded, every posted
-# window is re-verified against a from-scratch solve, the sharded leg
-# must be bitwise identical to a 1-shard golden run, and
-# arrival/departure windows must warm-start; `make bench-serve-smoke`
-# is the small CI variant). Sweep wall time and pool dispatch cost
-# are measured, with repeats, by benchmark/ (see benchmark/README.md).
-# `make golden-regen` re-renders every registry
-# experiment and promotes the result into test/golden/ — run it (and
-# commit the diff) after an intentional output change.
+# Convenience wrappers around dune. `make test` runs every suite: the
+# unit/property tests, the tier-DP kernel grid (test/test_dp_grid.ml),
+# the registry goldens and the example goldens. Wall time, throughput
+# and per-layer costs are measured, with repeats, by benchmark/ (see
+# benchmark/README.md). `make golden-regen` re-renders every registry
+# experiment and example and promotes the result into test/golden/ and
+# examples/*.expected -- run it (and commit the diff) after an
+# intentional output change.
 
-.PHONY: all build test test-segdp bench bench-dp bench-dp-smoke bench-serve bench-serve-smoke golden-regen smoke smoke-procs lint lint-typed lint-baseline effects-regen clean
+.PHONY: all build test test-segdp golden-regen smoke smoke-procs lint lint-typed lint-baseline effects-regen clean
 
 all: build
 
@@ -33,23 +23,9 @@ test-segdp:
 	dune build test/test_main.exe
 	./_build/default/test/test_main.exe test 'numerics.segdp'
 
-bench:
-	dune exec bench/main.exe
-
-bench-dp:
-	dune exec bench/main.exe -- dp
-
-bench-dp-smoke:
-	dune exec bench/main.exe -- dp --dp-sizes=1000,4000,200000 --dp-max-exact=4000
-
-bench-serve:
-	dune exec bench/main.exe -- serve
-
-bench-serve-smoke:
-	dune exec bench/main.exe -- serve --serve-flows=300 --serve-days=2
-
-# Rewrite test/golden/*.expected from the current code. The second
-# pass re-checks the diffs so a failed promote cannot pass silently.
+# Rewrite test/golden/*.expected and examples/*.expected from the
+# current code. The second pass re-checks the diffs so a failed
+# promote cannot pass silently.
 golden-regen:
 	dune build @golden --auto-promote || true
 	dune build @golden
@@ -71,7 +47,7 @@ golden-regen:
 lint:
 	dune build
 	./_build/default/bin/lint.exe --root . --baseline lint/baseline.json \
-	  --json lint-report.json --sarif lint-report.sarif lib bin bench test
+	  --json lint-report.json --sarif lint-report.sarif lib bin examples test
 
 lint-typed:
 	dune build @lint-typed
@@ -85,7 +61,7 @@ effects-regen:
 lint-baseline:
 	dune build
 	./_build/default/bin/lint.exe --root . --baseline lint/baseline.json \
-	  --write-baseline lib bin bench test
+	  --write-baseline lib bin examples test
 
 smoke:
 	dune exec bin/tiered_cli.exe -- run table1 --jobs 2 --metrics

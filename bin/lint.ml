@@ -6,7 +6,7 @@
    lib/.  Exit codes: 0 clean, 1 active findings, 2 usage or baseline
    errors. *)
 
-let default_dirs = [ "lib"; "bin"; "bench"; "test" ]
+let default_dirs = [ "lib"; "bin"; "examples"; "test" ]
 
 let () =
   let root = ref "." in
@@ -58,7 +58,7 @@ let () =
   let usage =
     "tiered-lint [options] [dir ...]\n\
      Scans every .ml/.mli under the given directories (default: lib bin \
-     bench test) for determinism/hygiene violations, and lib/ cmt \
+     examples test) for determinism/hygiene violations, and lib/ cmt \
      artifacts for interprocedural ones.\n"
   in
   Arg.parse spec (fun d -> dirs := d :: !dirs) usage;

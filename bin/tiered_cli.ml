@@ -755,7 +755,9 @@ let serve_cmd =
     in
     let run_daemon pool =
       Serve.Daemon.run
-        ~clock:(Serve.Clock.of_fn Unix.gettimeofday)
+        ~clock:
+          (Serve.Clock.of_fn (fun () ->
+               Int64.to_float (Monotonic_clock.now ()) /. 1e9))
         ?pool ~shards:shard_state ~retier
         { Serve.Daemon.every_s = every }
         ingest

@@ -61,6 +61,6 @@ let () =
         believed
         (100. *. final.Dynamics.true_profit /. blended)
         (if Dynamics.converged ~tol:1e-4 rounds then "" else " (not converged)"))
-    [ 1.05; 1.10; 1.50; 2.50 ];
+    [ 1.05; 1.10; 1.50; 2.50; 4.00 ];
   Format.printf
     "@.Moral: get the demand model right before worrying about the fifth tier.@."

@@ -10,7 +10,7 @@ let catalog =
          stray print corrupts the length-prefixed protocol (the resync \
          marker in lib/engine/proc.ml exists because exactly this \
          happened).  Library code renders to buffers/formatters handed in \
-         by the caller; only bin/ and bench/ own stdout.";
+         by the caller; only bin/ and examples/ own stdout.";
     };
     {
       id = "D002";
@@ -26,7 +26,8 @@ let catalog =
       id = "D003";
       title = "wall-clock and ambient randomness confined to the engine";
       rationale =
-        "Unix.gettimeofday / Unix.time / Sys.time / Random.self_init anywhere outside \
+        "Unix.gettimeofday / Unix.time / Sys.time / Monotonic_clock.now / \
+         Random.self_init anywhere outside \
          the engine's metrics plumbing (lib/engine/*, lib/core/runner.ml) \
          would let timing or seed state leak into experiment output.  \
          Model code draws randomness from an explicitly-seeded \
@@ -205,6 +206,7 @@ let d003_idents =
     "Unix.times";
     "Sys.time";
     "Sys.cpu_time";
+    "Monotonic_clock.now";
     "Random.self_init";
     "Random.State.make_self_init";
   ]

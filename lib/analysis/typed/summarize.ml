@@ -28,7 +28,10 @@ let starts_with prefix s =
 (* --- stdlib effect classification ---------------------------------------- *)
 
 let clock_heads =
-  [ "Unix.gettimeofday"; "Unix.time"; "Unix.times"; "Sys.time"; "Sys.cpu_time" ]
+  [
+    "Unix.gettimeofday"; "Unix.time"; "Unix.times"; "Sys.time"; "Sys.cpu_time";
+    "Monotonic_clock.now";
+  ]
 
 (* Ambient randomness: the global [Random] state.  [Random.State.*]
    is deterministic under an explicit seed — except [make_self_init],

@@ -4,9 +4,9 @@
     Each experiment regenerates the corresponding artifact as one or
     more {!Report.t} tables (a figure's line series become columns).
     Everything is deterministic. Figure 2 (direct peering) and
-    Figure 17 (accounting) exercise the routing substrate and live in
-    the benchmark harness and examples instead; see DESIGN.md's
-    experiment index.
+    Figure 17 (accounting) exercise the routing substrate and are
+    printed by examples/direct_peering and examples/accounting_demo
+    instead; see DESIGN.md's experiment index.
 
     Grid-shaped experiments additionally expose their internal grid as
     a {e cell plan}: [cells ()] lists independent sub-computations (one

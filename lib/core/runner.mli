@@ -1,6 +1,6 @@
 (** Pool-driven execution of the experiment registry.
 
-    The single entry point every harness (CLI [run], [bench/main.exe],
+    The single entry point every harness (CLI [run], benchmark/,
     tests) uses to evaluate a set of experiments. Scheduling is
     per-{e cell}, not per-experiment: every experiment's
     {!Experiment.cells} plan is flattened into one task array (in

@@ -189,16 +189,15 @@ let profit_weighted_classes market ~n_bundles =
 (* The DP inputs: flow indices in ascending-cost order, the closed-form
    segment profit over inclusive positions of that order, and the
    piecewise-region starts for [Numerics.Segdp] (logit only; see
-   below). Exposed (see the mli) so the bench and the regression suite
-   can time and cross-check the kernels on exactly the seg_value the
-   strategy runs. The partition itself is delegated to
+   below). Exposed (see the mli) so the kernel grid test and the
+   regression suite can cross-check the kernels on exactly the
+   seg_value the strategy runs. The partition itself is delegated to
    [Numerics.Segdp.solve]: region-wise divide-and-conquer layers with
    Monge/total-monotonicity spot-checks, an SMAWK middle rung and an
    exact quadratic backstop, cut-for-cut identical to the historical
    O(B n^2) DP. Prefix rows are [floatarray]s read through unsafe gets:
    the indices are pinned to [0, n] by construction and the closures
-   are the hottest call in the repo (billions of calls per bench
-   sweep). *)
+   are the hottest call in the repo. *)
 let dp_inputs market =
   let { Market.alpha; valuations; costs; spec; _ } = market in
   let n = Market.n_flows market in

@@ -43,7 +43,10 @@ exception Worker_lost of { attempts : int; reason : string }
 exception Frame_too_large of { bytes : int }
 exception Auth_failure
 
-let now = Unix.gettimeofday
+(* Deadlines (task timeouts, steal_after, respawn backoff) only ever
+   subtract two readings, so they run on CLOCK_MONOTONIC: a wall-clock
+   step must not fire or starve them. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 (* --- framed IO over raw fds ---------------------------------------------- *)
 

@@ -2,8 +2,8 @@
 
     Routers export {e sampled} NetFlow (typically 1-in-N packets); the
     collector re-scales byte counts by N. Sampling is a binomial process,
-    so small flows can disappear entirely — the methodology ablation in
-    the benchmarks measures how this distorts the fitted model. *)
+    so small flows can disappear entirely — the packet-sampling ablation
+    (examples/ablations.ml) measures how this distorts the fitted model. *)
 
 type t = { rate : int }
 (** 1-in-[rate] packet sampling. [rate = 1] is unsampled. *)

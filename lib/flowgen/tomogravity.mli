@@ -6,8 +6,8 @@
     [T(i,j) proportional to out(i) * in(j)] from per-node totals, then a
     projection toward consistency with the observed per-link loads under
     shortest-path routing. The result feeds the same market-fitting
-    machinery as measured flows — with estimation error the benchmarks
-    can quantify.
+    machinery as measured flows — with estimation error that
+    examples/extensions.ml quantifies.
 
     All vectors are indexed by position in the topology's [pops] list. *)
 

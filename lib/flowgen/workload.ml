@@ -223,7 +223,7 @@ type target = {
 (* A preset name may carry a synthetic scale suffix: ["eu_isp@200000"]
    is the eu_isp calibration with [n_flows] overridden to 200000 (same
    aggregate rate spread over more flows). This is the large-n knob the
-   tier-DP bench and sweep grid use to exercise the kernel at scale
+   tier-DP grid test and sweep grid use to exercise the kernel at scale
    without a separate calibration. *)
 let split_scale name =
   match String.index_opt name '@' with

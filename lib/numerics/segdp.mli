@@ -163,6 +163,6 @@ val verify_columns : ?samples:int -> state -> (int -> int -> float) -> bool
     [64]) deterministically drawn columns of every retained layer with
     exact full-range scans and checks them — value and argmax — against
     the state bit-for-bit (layer 0 against [seg_value 0 j] directly).
-    The bench uses this as the exact spot-check on cells too large to
-    run the full quadratic reference. [seg_value] must be the function
-    the state was last solved with. *)
+    The kernel grid test uses this as the exact spot-check on cells too
+    large to run the full quadratic reference. [seg_value] must be the
+    function the state was last solved with. *)

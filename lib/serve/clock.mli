@@ -2,9 +2,10 @@
 
     Nothing under [lib/serve] reads the wall clock directly (the D003
     lint confines [Unix.gettimeofday] to the engine); the daemon and the
-    stats take a [Clock.t] instead. The CLI and the bench inject real
-    time, the tests a hand-advanced manual clock, so every re-tier
-    latency and throughput figure is measurable without sleeping. *)
+    stats take a [Clock.t] instead. The CLI and the benchmark inject
+    the monotonic clock, the tests a hand-advanced manual clock, so
+    every re-tier latency and throughput figure is measurable without
+    sleeping. *)
 
 type t
 

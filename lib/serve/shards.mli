@@ -13,7 +13,7 @@
     uids into the dense global space [uid * shards + shard]. Per-flow
     rates are bitwise those of the 1-shard run and the re-tier layer
     sorts flows by (cost, id), so posted tiers are bitwise-identical
-    at any shard count — the bench pins this with a golden leg.
+    at any shard count — the daemon shard tests pin this.
 
     Records buffer between snapshots (the daemon snapshots every
     [every_s] of stream time) in per-shard growable columns: one

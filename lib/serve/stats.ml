@@ -40,7 +40,7 @@ type summary = {
   unchanged : int;
   fallbacks : int;
   evaluations : int;
-  warm_hit_rate : float;
+  evals_per_solve : float option;
   p50_ms : float option;
   p99_ms : float option;
   max_ms : float option;
@@ -63,7 +63,7 @@ let summary t =
   let lat = Array.of_list t.lat in
   Array.sort Float.compare lat;
   let n = Array.length lat in
-  let solves = t.warm + t.unchanged + t.cold in
+  let solves = t.warm + t.cold in
   let scale = Option.map (fun v -> 1e3 *. v) in
   {
     retiers = t.retiers;
@@ -73,9 +73,9 @@ let summary t =
     unchanged = t.unchanged;
     fallbacks = t.fallbacks;
     evaluations = t.evaluations;
-    warm_hit_rate =
-      (if solves = 0 then 0.
-       else float_of_int (t.warm + t.unchanged) /. float_of_int solves);
+    evals_per_solve =
+      (if solves = 0 then None
+       else Some (float_of_int t.evaluations /. float_of_int solves));
     p50_ms = scale (percentile lat ~p:50.);
     p99_ms = scale (percentile lat ~p:99.);
     max_ms = (if n = 0 then None else Some (1e3 *. lat.(n - 1)));
@@ -112,11 +112,11 @@ let report s run =
       [ "warm / unchanged / cold"; Printf.sprintf "%d / %d / %d" s.warm s.unchanged s.cold ];
       [ "cache hits"; cell_i s.cached ];
       [ "fallbacks"; cell_i s.fallbacks ];
-      [ "warm-start hit rate"; Tiered.Report.cell_pct s.warm_hit_rate ];
       [ "re-tier p50 (ms)"; cell_of s.p50_ms ];
       [ "re-tier p99 (ms)"; cell_of s.p99_ms ];
       [ "re-tier max (ms)"; cell_of s.max_ms ];
       [ "seg evaluations"; cell_i s.evaluations ];
+      [ "evaluations / solve"; cell_of s.evals_per_solve ];
       [ "wall (s)"; Tiered.Report.cell_f run.wall_s ];
     ]
 
@@ -125,8 +125,8 @@ let json_of = function None -> "null" | Some v -> Printf.sprintf "%.4f" v
 
 let to_json s run =
   Printf.sprintf
-    {|{"records": %d, "records_per_s": %.1f, "shards": %d, "dropped_dup": %s, "late": %d, "seq_gaps": %d, "malformed": %d, "occupancy": %.4f, "wall_s": %.4f, "retiers": %d, "warm": %d, "cold": %d, "cached": %d, "unchanged": %d, "fallbacks": %d, "evaluations": %d, "warm_hit_rate": %.4f, "p50_retier_ms": %s, "p99_retier_ms": %s, "max_retier_ms": %s}|}
+    {|{"records": %d, "records_per_s": %.1f, "shards": %d, "dropped_dup": %s, "late": %d, "seq_gaps": %d, "malformed": %d, "occupancy": %.4f, "wall_s": %.4f, "retiers": %d, "warm": %d, "cold": %d, "cached": %d, "unchanged": %d, "fallbacks": %d, "evaluations": %d, "evals_per_solve": %s, "p50_retier_ms": %s, "p99_retier_ms": %s, "max_retier_ms": %s}|}
     run.records run.records_per_s run.shards (json_oi run.dropped_dup)
     run.late run.seq_gaps run.malformed run.occupancy run.wall_s s.retiers
     s.warm s.cold s.cached s.unchanged s.fallbacks s.evaluations
-    s.warm_hit_rate (json_of s.p50_ms) (json_of s.p99_ms) (json_of s.max_ms)
+    (json_of s.evals_per_solve) (json_of s.p50_ms) (json_of s.p99_ms) (json_of s.max_ms)

@@ -1,12 +1,13 @@
 (** Service counters: throughput, re-tier latency, solve outcomes.
 
     The daemon feeds one {!observe} per re-tier; {!summary} reduces to
-    the figures the acceptance bench pins — records/s, the re-tier
-    latency histogram (nearest-rank p50/p99) and the warm-start hit
-    rate — renderable as a {!Tiered.Report} table or JSON. Quantities
-    that can be absent rather than zero — quantiles of an empty
-    histogram, duplicates when dedup is off — are options and render as
-    JSON [null], never a misleading [0]. *)
+    the service figures — records/s, the re-tier latency histogram
+    (nearest-rank p50/p99) and the segment evaluations each solve spent
+    — renderable as a {!Tiered.Report} table or JSON. Quantities that
+    can be absent rather than zero — quantiles of an empty histogram,
+    evaluations per solve before any solve, duplicates when dedup is
+    off — are options and render as JSON [null], never a misleading
+    [0]. *)
 
 type t
 
@@ -29,10 +30,11 @@ type summary = {
   fallbacks : int;  (** Re-tiers that went through the divergence path
                         (spot-check trip or forced drill). *)
   evaluations : int;  (** Total [seg_value] evaluations. *)
-  warm_hit_rate : float;
-      (** Solves that reused the retained DP state — [(warm + unchanged)
-          / (warm + unchanged + cold)]; [0] before any solve. Cache hits
-          are excluded (no solve ran). *)
+  evals_per_solve : float option;
+      (** [evaluations / (warm + cold)]: the work an actual solve spent,
+          so a warm start that saves nothing reads as high as a cold
+          one. Unchanged replays and cache hits run no solve. [None]
+          before any solve. *)
   p50_ms : float option;  (** [None] before any re-tier. *)
   p99_ms : float option;
   max_ms : float option;
@@ -60,5 +62,4 @@ type run = {
 val report : summary -> run -> Tiered.Report.t
 
 val to_json : summary -> run -> string
-(** One flat JSON object; the schema is documented in README.md
-    (BENCH_serve.json embeds it verbatim under ["daemon"]). *)
+(** One flat JSON object; the schema is documented in README.md. *)

@@ -242,7 +242,7 @@ let test_empty_ipfix_message () =
   Alcotest.(check int) "both frames counted" 2 c.Wire.c_packets
 
 let test_channel_reader () =
-  (* write_file + of_channel round trip — the bench and `serve --from`
+  (* write_file + of_channel round trip — the benchmark and `serve --from`
      path. *)
   let originals =
     List.init 100 (fun i ->

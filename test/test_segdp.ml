@@ -3,7 +3,7 @@ open Tiered
 (* The divide-and-conquer tier-DP kernel (DESIGN.md §11) must be
    cut-for-cut identical to the exact quadratic reference, ties
    included — the Optimal strategy, golden experiment grids, and the
-   bench all lean on that equality. *)
+   kernel grid (test_dp_grid.ml) all lean on that equality. *)
 
 let cuts_testable = Alcotest.(list int)
 

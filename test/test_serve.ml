@@ -323,8 +323,10 @@ let test_stats_rates () =
   Alcotest.(check int) "retiers" 5 sum.Stats.retiers;
   Alcotest.(check int) "fallbacks" 1 sum.Stats.fallbacks;
   Alcotest.(check int) "evaluations" 27 sum.Stats.evaluations;
-  (* 2 of the 4 actual solves reused state; the cache hit is excluded. *)
-  Alcotest.(check (float 1e-9)) "hit rate" 0.5 sum.Stats.warm_hit_rate;
+  (* 27 evaluations over the 3 actual solves; the unchanged replay and
+     the cache hit ran none. *)
+  Alcotest.(check (option (float 1e-9))) "evaluations per solve" (Some 9.)
+    sum.Stats.evals_per_solve;
   Alcotest.(check (option (float 1e-9))) "p99 = max" sum.Stats.max_ms
     sum.Stats.p99_ms
 
@@ -334,6 +336,8 @@ let test_stats_absent_vs_zero () =
   let empty = Stats.summary (Stats.create ()) in
   Alcotest.(check (option (float 0.))) "no p50" None empty.Stats.p50_ms;
   Alcotest.(check (option (float 0.))) "no max" None empty.Stats.max_ms;
+  Alcotest.(check (option (float 0.))) "no solve yet" None
+    empty.Stats.evals_per_solve;
   let run =
     {
       Stats.records = 10;
@@ -352,6 +356,8 @@ let test_stats_absent_vs_zero () =
     (contains j {|"dropped_dup": null|});
   Alcotest.(check bool) "empty quantile is null" true
     (contains j {|"p50_retier_ms": null|});
+  Alcotest.(check bool) "no solve is null" true
+    (contains j {|"evals_per_solve": null|});
   (* One observation: every quantile is that sample, and JSON carries
      numbers again. *)
   let s1 = Stats.create () in
@@ -770,13 +776,61 @@ let test_daemon_shard_pool () =
   in
   check_same_postings "pooled vs serial" serial pooled
 
+let records_of ing =
+  let rec drain acc = match Ingest.next ing with Some r -> drain (r :: acc) | None -> List.rev acc in
+  drain []
+
+let test_daemon_churn_warm_starts () =
+  (* Arrivals and departures must warm-start: over a churned multi-day
+     stream the only cold solves are the first window and the drills,
+     cold = 1 + (warm + cold) / cold_every. A cohort of every 11th flow
+     is dark on odd days, so it departs on day 1 and re-arrives on
+     day 2 (with only 2 days it would never come back). *)
+  let w = Lazy.force small_workload in
+  let cohort = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Flowgen.Workload.flow) ->
+      if f.Flowgen.Workload.id mod 11 = 0 then
+        Hashtbl.replace cohort (f.Flowgen.Workload.src_addr, f.Flowgen.Workload.dst_addr) ())
+    w.Flowgen.Workload.flows;
+  let stream =
+    List.filter
+      (fun (r : Flowgen.Netflow.record) ->
+        not
+          ((r.Flowgen.Netflow.first_s / Flowgen.Netflow.day_seconds) mod 2 = 1
+          && Hashtbl.mem cohort (r.Flowgen.Netflow.src, r.Flowgen.Netflow.dst)))
+      (records_of (Ingest.of_workload ~days:3 ~seed:11 w))
+  in
+  (* Hourly windows: the cohort leaves at bin 47 and is back at bin 48.
+     A cadence of 10 keeps the drills (solves 10, 20, ...) off both. *)
+  let cold_every = 10 in
+  let retier = serve_retier ~cold_every w in
+  let clock, _ = Clock.manual () in
+  let sizes = Hashtbl.create 4 in
+  let result =
+    Daemon.run
+      ~on_retier:(fun snap o ->
+        Hashtbl.replace sizes o.Retier.o_n_flows ();
+        check_matches_cold retier snap o)
+      ~clock
+      ~shards:(Shards.create ~shards:1 ~dedup:true serve_wp)
+      ~retier { Daemon.every_s = 3600 } (Ingest.of_sequence stream)
+  in
+  let s = result.Daemon.r_stats in
+  Alcotest.(check bool) "the flow set changed between windows" true
+    (Hashtbl.length sizes > 1);
+  Alcotest.(check int) "cold solves = first window + drills"
+    (1 + ((s.Stats.warm + s.Stats.cold) / cold_every))
+    s.Stats.cold
+
 let test_daemon_wire_equals_sequence () =
   (* The cursor pump over a wire reader and the record path over the
      same decoded records post identical tiers and run counters. *)
   let w = Lazy.force small_workload in
-  let ing = Ingest.of_workload ~days:2 ~seed:11 w in
-  let rec drain acc = match Ingest.next ing with Some r -> drain (r :: acc) | None -> List.rev acc in
-  let wire = String.concat "" (Flowgen.Netflow.Wire.encode (drain [])) in
+  let wire =
+    String.concat ""
+      (Flowgen.Netflow.Wire.encode (records_of (Ingest.of_workload ~days:2 ~seed:11 w)))
+  in
   let run ingest =
     let posted = ref [] in
     let clock, _ = Clock.manual () in
@@ -947,4 +1001,5 @@ let suite =
     Alcotest.test_case "daemon validation" `Quick test_daemon_validation;
     Alcotest.test_case "shards column growth" `Quick test_shards_column_growth;
     Alcotest.test_case "daemon wire == sequence" `Quick test_daemon_wire_equals_sequence;
+    Alcotest.test_case "daemon churn warm-starts" `Quick test_daemon_churn_warm_starts;
   ]
