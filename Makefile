@@ -5,9 +5,10 @@
 # benchmark/README.md). `make golden-regen` re-renders every registry
 # experiment and example and promotes the result into test/golden/ and
 # examples/*.expected -- run it (and commit the diff) after an
-# intentional output change.
+# intentional output change. `make test` also runs the lint (the
+# runtest alias depends on @lint); `make lint` writes its reports.
 
-.PHONY: all build test test-segdp golden-regen smoke smoke-procs lint lint-typed lint-baseline effects-regen clean
+.PHONY: all build test test-segdp golden-regen smoke smoke-procs lint effects-regen clean
 
 all: build
 
@@ -32,36 +33,23 @@ golden-regen:
 
 # tiered-lint: the determinism/hygiene static-analysis pass (rule
 # catalog: `dune exec bin/lint.exe -- --list-rules`; DESIGN.md §10).
-# `make lint` runs BOTH engines — the textual AST rules and, because
-# the tree is built first, the typed interprocedural pass (T001-T003)
-# over the lib/ cmt artifacts — and fails on any finding that is
-# neither inline-suppressed nor grandfathered in lint/baseline.json.
-# It leaves the JSON report at lint-report.json and a SARIF 2.1.0
-# twin at lint-report.sarif; `dune build @lint` is the dune-tracked
-# equivalent (it also diffs the effects golden).  `make lint-typed`
-# runs just the typed pass plus the effects-golden diff; `make
-# effects-regen` re-derives lint/effects.golden.json after an
-# intentional interface change (the second pass re-checks the diff).
-# `make lint-baseline` regenerates the baseline from the current
-# findings (target state: empty).
+# Every rule reads the typed trees (.cmt files) of lib/ bin/ examples/
+# test/, so `dune build @check` compiles them first (executables' main
+# modules included); `make lint` fails on any finding that no inline
+# `lint: allow` comment accepts. It leaves the JSON report at
+# lint-report.json and a SARIF 2.1.0 twin at lint-report.sarif; `dune
+# build @lint` is the dune-tracked equivalent (it also diffs the
+# effects golden). `make effects-regen` re-derives
+# lint/effects.golden.json after an intentional interface change (the
+# second pass re-checks the diff).
 lint:
-	dune build
-	./_build/default/bin/lint.exe --root . --baseline lint/baseline.json \
+	dune build @check bin/lint.exe
+	./_build/default/bin/lint.exe --root . \
 	  --json lint-report.json --sarif lint-report.sarif lib bin examples test
 
-lint-typed:
-	dune build @lint-typed
-	./_build/default/bin/lint.exe --root . --baseline lint/baseline.json \
-	  --typed-only
-
 effects-regen:
-	dune build @lint-typed --auto-promote || true
-	dune build @lint-typed
-
-lint-baseline:
-	dune build
-	./_build/default/bin/lint.exe --root . --baseline lint/baseline.json \
-	  --write-baseline lib bin examples test
+	dune build @lint --auto-promote || true
+	dune build @lint
 
 smoke:
 	dune exec bin/tiered_cli.exe -- run table1 --jobs 2 --metrics

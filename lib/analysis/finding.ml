@@ -6,19 +6,9 @@ type t = {
   message : string;
 }
 
-type status = Active | Suppressed | Baselined
+type status = Active | Suppressed
 
 let v ~rule ~file ~line ~col message = { rule; file; line; col; message }
-
-let of_location ~rule ~file (loc : Location.t) message =
-  let pos = loc.Location.loc_start in
-  {
-    rule;
-    file;
-    line = pos.Lexing.pos_lnum;
-    col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol;
-    message;
-  }
 
 (* Monomorphic lexicographic chain — same order as the old tuple
    [Stdlib.compare]; rule D005 keeps bare [compare] out of lib/. *)
@@ -39,7 +29,6 @@ let compare a b =
 let status_to_string = function
   | Active -> "active"
   | Suppressed -> "suppressed"
-  | Baselined -> "baselined"
 
 let to_string t =
   Printf.sprintf "%s:%d:%d: [%s] %s" t.file t.line t.col t.rule t.message

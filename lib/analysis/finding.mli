@@ -8,24 +8,19 @@ type t = {
   message : string;
 }
 
-(** How a finding is classified after suppressions and the baseline
-    have been applied.  Only [Active] findings fail the build. *)
+(** How a finding is classified after inline suppressions have been
+    applied.  Only [Active] findings fail the build. *)
 type status =
-  | Active  (** unbaselined, unsuppressed: fails [make lint] *)
+  | Active  (** unsuppressed: fails [make lint] *)
   | Suppressed  (** covered by an inline [lint: allow] comment *)
-  | Baselined  (** grandfathered in [lint/baseline.json] *)
 
 val v : rule:string -> file:string -> line:int -> col:int -> string -> t
-
-val of_location : rule:string -> file:string -> Location.t -> string -> t
-(** Build a finding from a compiler-libs source location (start
-    position). *)
 
 val compare : t -> t -> int
 (** Order by (file, line, col, rule, message) so reports are stable. *)
 
 val status_to_string : status -> string
-(** ["active"] / ["suppressed"] / ["baselined"] — the JSON encoding. *)
+(** ["active"] / ["suppressed"] — the JSON encoding. *)
 
 val to_string : t -> string
 (** [file:line:col: [rule] message] — the text-reporter line. *)

@@ -1,8 +1,3 @@
-type outcome = {
-  reported : (Finding.t * Finding.status) list;
-  stale : Baseline.entry list;
-}
-
 (* --- file discovery ------------------------------------------------------- *)
 
 let skip_dir name =
@@ -47,119 +42,39 @@ let scan_files ~root ~dirs =
     dirs;
   List.sort_uniq String.compare !out
 
-(* --- parsing -------------------------------------------------------------- *)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-type parsed =
-  | Structure of Parsetree.structure
-  | Signature of Parsetree.signature
-  | Broken of Finding.t
+(* --- classification ------------------------------------------------------- *)
 
-let parse ~file contents =
-  let lexbuf = Lexing.from_string contents in
-  Location.init lexbuf file;
-  let intf = Filename.check_suffix file ".mli" in
-  match
-    if intf then Signature (Parse.interface lexbuf)
-    else Structure (Parse.implementation lexbuf)
-  with
-  | parsed -> parsed
-  | exception Syntaxerr.Error err ->
-      let loc = Syntaxerr.location_of_error err in
-      Broken
-        (Finding.of_location ~rule:"E001" ~file loc "source does not parse")
-  | exception exn ->
-      Broken
-        (Finding.v ~rule:"E001" ~file ~line:1 ~col:0
-           (Printf.sprintf "source does not parse: %s" (Printexc.to_string exn)))
-
-(* --- per-file check ------------------------------------------------------- *)
-
-let check_source ~file contents =
-  let raw =
-    match parse ~file contents with
-    | Structure str -> Rules.check_structure ~file str
-    | Signature _ -> []
-    | Broken f -> [ f ]
+let classify sources findings =
+  let scans =
+    List.map
+      (fun (file, contents) -> (file, Suppress.scan ~file contents))
+      sources
   in
-  let supps, malformed = Suppress.scan ~file contents in
-  let classify (f : Finding.t) =
-    if
-      f.Finding.rule <> "S001"
-      && Suppress.covers supps ~rule:f.Finding.rule ~line:f.Finding.line
-    then (f, Finding.Suppressed)
-    else (f, Finding.Active)
+  let malformed = List.concat_map (fun (_, (_, m)) -> m) scans in
+  let h003 = Rules.missing_interfaces ~files:(List.map fst sources) in
+  let status (f : Finding.t) =
+    match List.assoc_opt f.Finding.file scans with
+    | Some (supps, _)
+      when f.Finding.rule <> "S001"
+           && Suppress.covers supps ~rule:f.Finding.rule ~line:f.Finding.line ->
+        Finding.Suppressed
+    | _ -> Finding.Active
   in
-  List.map classify (raw @ malformed)
+  List.map (fun f -> (f, status f)) (findings @ malformed @ h003)
   |> List.sort (fun (a, _) (b, _) -> Finding.compare a b)
 
-(* --- whole-tree run ------------------------------------------------------- *)
+let run ~root ~files findings =
+  classify
+    (List.map (fun file -> (file, read_file (Filename.concat root file))) files)
+    findings
 
-let run_sources ?(baseline = Baseline.empty) ?(extra = []) sources =
-  let per_file =
-    List.concat_map (fun (file, contents) -> check_source ~file contents) sources
-  in
-  let tree =
-    Rules.missing_interfaces ~files:(List.map fst sources)
-    |> List.map (fun f -> (f, Finding.Active))
-  in
-  (* Findings from other engines (the typed pass) honor the same
-     inline suppressions as the textual rules; suppressions are
-     re-scanned per distinct file so extras need not come from the
-     scanned source set. *)
-  let extra_classified =
-    let supps_for =
-      let cache = Hashtbl.create 8 in
-      fun file ->
-        match Hashtbl.find_opt cache file with
-        | Some s -> s
-        | None ->
-            let s =
-              match List.assoc_opt file sources with
-              | Some contents -> fst (Suppress.scan ~file contents)
-              | None -> (
-                  match read_file file with
-                  | contents -> fst (Suppress.scan ~file contents)
-                  | exception Sys_error _ -> [])
-            in
-            Hashtbl.add cache file s;
-            s
-    in
-    List.map
-      (fun (f : Finding.t) ->
-        if
-          Suppress.covers (supps_for f.Finding.file) ~rule:f.Finding.rule
-            ~line:f.Finding.line
-        then (f, Finding.Suppressed)
-        else (f, Finding.Active))
-      extra
-  in
-  let all = per_file @ tree @ extra_classified in
-  let reported =
-    List.map
-      (fun (f, status) ->
-        match (status : Finding.status) with
-        | Finding.Active when Baseline.mem baseline f -> (f, Finding.Baselined)
-        | _ -> (f, status))
-      all
-    |> List.sort (fun (a, _) (b, _) -> Finding.compare a b)
-  in
-  let stale = Baseline.stale baseline (List.map fst all) in
-  { reported; stale }
-
-let run ?baseline ?extra ~root ~dirs () =
-  let files = scan_files ~root ~dirs in
-  let sources =
-    List.map (fun file -> (file, read_file (Filename.concat root file))) files
-  in
-  run_sources ?baseline ?extra sources
-
-let active outcome =
+let active reported =
   List.filter_map
     (fun (f, status) -> if status = Finding.Active then Some f else None)
-    outcome.reported
+    reported

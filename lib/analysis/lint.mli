@@ -1,44 +1,27 @@
-(** The [tiered-lint] driver: discover sources, parse them with
-    compiler-libs, run the {!Rules} catalog, honor inline
-    {!Suppress}ions, then classify what is left against the
-    {!Baseline}. *)
-
-type outcome = {
-  reported : (Finding.t * Finding.status) list;
-      (** every finding, sorted by (file, line, col, rule) *)
-  stale : Baseline.entry list;
-      (** baseline entries whose finding no longer fires *)
-}
+(** The [tiered-lint] pipeline's source side: discover the sources,
+    scan their inline {!Suppress}ions, and classify every finding —
+    whichever rule raised it — through that one path. *)
 
 val scan_files : root:string -> dirs:string list -> string list
 (** All [.ml]/[.mli] files under [root/dir] for each dir, as sorted
     '/'-separated paths relative to [root].  [_build], [.git],
     [_cache] and [_cas] subtrees are skipped. *)
 
-val check_source :
-  file:string -> string -> (Finding.t * Finding.status) list
-(** Parse one source from memory and run the AST rules plus the
-    suppression scanner.  [file] is the relative path used for rule
-    scoping; no baseline and no cross-file rules (H003) here. *)
-
-val run_sources :
-  ?baseline:Baseline.t ->
-  ?extra:Finding.t list ->
-  (string * string) list ->
-  outcome
-(** Full pipeline over in-memory [(file, contents)] pairs: per-file
-    rules, H003 over the whole set, baseline classification.  [extra]
-    carries findings from other engines (the typed pass); they get
-    the same suppression and baseline treatment as textual ones. *)
+val classify :
+  (string * string) list -> Finding.t list -> (Finding.t * Finding.status) list
+(** [classify sources findings] over in-memory [(file, contents)]
+    pairs: adds the sources' own S001 (malformed suppression) and
+    H003 (unpaired [lib/] module) findings, then marks each finding
+    [Suppressed] when an inline suppression in its file covers its
+    line and rule, [Active] otherwise (S001 is never suppressible).
+    Sorted by (file, line, col, rule). *)
 
 val run :
-  ?baseline:Baseline.t ->
-  ?extra:Finding.t list ->
   root:string ->
-  dirs:string list ->
-  unit ->
-  outcome
-(** [run_sources] over [scan_files]. *)
+  files:string list ->
+  Finding.t list ->
+  (Finding.t * Finding.status) list
+(** [classify] over [files] read from [root]. *)
 
-val active : outcome -> Finding.t list
+val active : (Finding.t * Finding.status) list -> Finding.t list
 (** The findings that should fail the build. *)

@@ -1,7 +1,13 @@
 let count status reported =
   List.length (List.filter (fun (_, s) -> s = status) reported)
 
-let text ~reported ~stale =
+let summary reported =
+  let active = count Finding.Active reported in
+  Printf.sprintf "tiered-lint: %d active finding%s, %d suppressed\n" active
+    (if active = 1 then "" else "s")
+    (count Finding.Suppressed reported)
+
+let text reported =
   let buf = Buffer.create 256 in
   List.iter
     (fun ((f : Finding.t), status) ->
@@ -9,33 +15,15 @@ let text ~reported ~stale =
       | Finding.Active ->
           Buffer.add_string buf (Finding.to_string f);
           Buffer.add_char buf '\n'
-      | Finding.Suppressed | Finding.Baselined -> ())
+      | Finding.Suppressed -> ())
     reported;
-  List.iter
-    (fun (e : Baseline.entry) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "%s:%d: stale baseline entry for %s \xe2\x80\x94 the finding no \
-            longer fires; remove it (make lint-baseline)\n"
-           e.Baseline.file e.Baseline.line e.Baseline.rule))
-    stale;
-  let active = count Finding.Active reported in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "tiered-lint: %d active finding%s, %d suppressed, %d baselined, %d \
-        stale baseline entr%s\n"
-       active
-       (if active = 1 then "" else "s")
-       (count Finding.Suppressed reported)
-       (count Finding.Baselined reported)
-       (List.length stale)
-       (if List.length stale = 1 then "y" else "ies"));
+  Buffer.add_string buf (summary reported);
   Buffer.contents buf
 
-let json ~reported ~stale =
+let json reported =
   Json.Obj
     [
-      ("version", Json.Int 1);
+      ("version", Json.Int 2);
       ("tool", Json.Str "tiered-lint");
       ( "findings",
         Json.List
@@ -51,23 +39,10 @@ let json ~reported ~stale =
                    ("status", Json.Str (Finding.status_to_string status));
                  ])
              reported) );
-      ( "stale_baseline",
-        Json.List
-          (List.map
-             (fun (e : Baseline.entry) ->
-               Json.Obj
-                 [
-                   ("rule", Json.Str e.Baseline.rule);
-                   ("file", Json.Str e.Baseline.file);
-                   ("line", Json.Int e.Baseline.line);
-                 ])
-             stale) );
       ( "summary",
         Json.Obj
           [
             ("active", Json.Int (count Finding.Active reported));
             ("suppressed", Json.Int (count Finding.Suppressed reported));
-            ("baselined", Json.Int (count Finding.Baselined reported));
-            ("stale_baseline", Json.Int (List.length stale));
           ] );
     ]

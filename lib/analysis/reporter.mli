@@ -1,22 +1,18 @@
 (** Render lint results. Pure: returns strings/JSON, never prints —
     the analysis library itself lives under [lib/] and obeys D001. *)
 
-val text :
-  reported:(Finding.t * Finding.status) list ->
-  stale:Baseline.entry list ->
-  string
-(** Human-readable report: one [file:line:col: [rule] message] line
-    per active finding, stale-baseline warnings, and a one-line
-    summary. *)
+val summary : (Finding.t * Finding.status) list -> string
+(** The one-line [tiered-lint: N active findings, M suppressed] total. *)
 
-val json :
-  reported:(Finding.t * Finding.status) list ->
-  stale:Baseline.entry list ->
-  Json.t
+val text : (Finding.t * Finding.status) list -> string
+(** Human-readable report: one [file:line:col: [rule] message] line
+    per active finding, then the {!summary}. *)
+
+val json : (Finding.t * Finding.status) list -> Json.t
 (** Machine-readable report:
     {v
-    { "version": 1, "tool": "tiered-lint",
+    { "version": 2, "tool": "tiered-lint",
       "findings": [ {"rule","file","line","col","message","status"} ],
-      "stale_baseline": [ {"rule","file","line"} ],
-      "summary": {"active","suppressed","baselined","stale_baseline"} }
-    v} *)
+      "summary": {"active","suppressed"} }
+    v}
+    [status] is ["active"] or ["suppressed"]. *)

@@ -19,15 +19,19 @@ let catalog =
         "Hash-bucket traversal order is a function of the hash seed and \
          insertion history, not of the keys; if it reaches a report, grid \
          or cache-accounting path it breaks the golden suite's \
-         byte-identity across jobs counts.  Route traversals through \
-         Tbl.sorted_bindings / Tbl.fold_sorted / Tbl.iter_sorted instead.";
+         byte-identity across jobs counts.  The flagged heads \
+         (Hashtbl.iter, fold, to_seq*, stats) are the effect summaries' \
+         hash-order list.  Route traversals through Tbl.sorted_bindings / \
+         Tbl.fold_sorted / Tbl.iter_sorted instead.";
     };
     {
       id = "D003";
       title = "wall-clock and ambient randomness confined to the engine";
       rationale =
-        "Unix.gettimeofday / Unix.time / Sys.time / Monotonic_clock.now / \
-         Random.self_init anywhere outside \
+        "A clock read (Unix.gettimeofday / Unix.time / Sys.time / \
+         Monotonic_clock.now ...) or the ambient Random state (any global \
+         Random.* call, Random.State.make_self_init) \xe2\x80\x94 the effect \
+         summaries' clock and randomness heads \xe2\x80\x94 anywhere outside \
          the engine's metrics plumbing (lib/engine/*, lib/core/runner.ml) \
          would let timing or seed state leak into experiment output.  \
          Model code draws randomness from an explicitly-seeded \
@@ -52,10 +56,11 @@ let catalog =
          rather than the IEEE semantics the surrounding arithmetic \
          assumes, it costs a C call per comparison on hot sort paths, \
          and it raises on functional values that later sneak into a \
-         key.  The check is untyped and therefore flags every bare \
-         `compare` in lib/ \xe2\x80\x94 spell out Float.compare / Int.compare / \
-         String.compare or a typed comparator (Tbl's deliberately \
-         polymorphic default carries the one blessed suppression).";
+         key.  Every use in lib/ whose name resolves to Stdlib.compare \
+         is flagged, at any type; a local binding named compare is not \
+         \xe2\x80\x94 spell out Float.compare / Int.compare / String.compare \
+         or a typed comparator (Tbl's deliberately polymorphic default \
+         carries the one blessed suppression).";
     };
     {
       id = "H001";
@@ -93,13 +98,6 @@ let catalog =
          suppresses nothing, silently \xe2\x80\x94 so it is itself a finding.";
     };
     {
-      id = "E001";
-      title = "source file does not parse";
-      rationale =
-        "An unparseable file cannot be checked, so it cannot be assumed \
-         clean.";
-    };
-    {
       id = "T001";
       title = "pool tasks must not touch unsynchronized module state";
       rationale =
@@ -135,187 +133,19 @@ let catalog =
     };
     {
       id = "E002";
-      title = "cmt artifact does not load";
+      title = "source without a loadable typed tree";
       rationale =
-        "The typed pass reads the .cmt files dune produces; one that \
-         fails to load (version skew, truncation) silently shrinks the \
+        "Every rule reads the .cmt files dune produces; a cmt that fails \
+         to load (version skew, truncation), or a scanned .ml that no \
+         loaded cmt names, would silently go unchecked and shrink the \
          call graph, so it is reported rather than skipped.";
     };
   ]
 
 let known id = List.exists (fun m -> m.id = id) catalog
 
-(* --- path scoping --------------------------------------------------------- *)
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let in_lib file = has_prefix ~prefix:"lib/" file
-
-(* D003: the engine owns wall-clock (task timing, worker timeouts) and
-   the Runner books per-cell wall times. *)
-let timing_whitelisted file =
-  has_prefix ~prefix:"lib/engine/" file || file = "lib/core/runner.ml"
-
-(* H001: the subprocess worker entry point must terminate the process;
-   everything else in lib/ may not. *)
-let worker_entry file = file = "lib/engine/proc.ml"
-
-(* --- ident classification ------------------------------------------------- *)
-
-let canonical lid =
-  match Longident.flatten lid with
-  | exception _ -> ""
-  | parts -> (
-      match String.concat "." parts with
-      | s when has_prefix ~prefix:"Stdlib." s ->
-          String.sub s 7 (String.length s - 7)
-      | s -> s)
-
-let d001_idents =
-  [
-    "print_char";
-    "print_string";
-    "print_bytes";
-    "print_int";
-    "print_float";
-    "print_endline";
-    "print_newline";
-    "Printf.printf";
-    "Format.printf";
-    "Format.print_string";
-    "Format.print_int";
-    "Format.print_float";
-    "Format.print_char";
-    "Format.print_bool";
-    "Format.print_newline";
-    "Format.print_space";
-    "Format.print_cut";
-    "Format.print_flush";
-    "Format.std_formatter";
-    "stdout";
-    "Unix.stdout";
-  ]
-
-let d002_idents = [ "Hashtbl.iter"; "Hashtbl.fold" ]
-let d003_idents =
-  [
-    "Unix.gettimeofday";
-    "Unix.time";
-    "Unix.times";
-    "Sys.time";
-    "Sys.cpu_time";
-    "Monotonic_clock.now";
-    "Random.self_init";
-    "Random.State.make_self_init";
-  ]
-let d004_idents = [ "=="; "!=" ]
-
-(* D005: [canonical] already folds [Stdlib.compare] to [compare], so one
-   name covers both spellings; qualified comparators (Float.compare,
-   Finding.compare, ...) canonicalize to their qualified names and pass. *)
-let d005_idents = [ "compare" ]
-let h001_idents = [ "exit"; "Unix._exit" ]
-
-let marshal_idents =
-  [ "Marshal.to_string"; "Marshal.to_channel"; "Marshal.to_bytes"; "Marshal.to_buffer" ]
-
-let is_marshal name = List.mem name marshal_idents
-
-(* A syntactic list literal: [] or a :: chain written with brackets.
-   Both parse to Pexp_construct. *)
-let rec is_list_literal (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_construct ({ txt = Lident "[]"; _ }, None) -> true
-  | Pexp_construct
-      ({ txt = Lident "::"; _ }, Some { pexp_desc = Pexp_tuple [ _; tl ]; _ })
-    ->
-      is_list_literal tl
-  | _ -> false
-
-(* --- the single AST pass -------------------------------------------------- *)
-
-let check_structure ~file str =
-  let findings = ref [] in
-  let add ~rule loc message =
-    findings := Finding.of_location ~rule ~file loc message :: !findings
-  in
-  let lib = in_lib file in
-  (* Marshal idents already validated as part of an enclosing
-     application; keyed by location so the bare-ident visit under the
-     default iterator does not re-flag them. *)
-  let marshal_seen : (Location.t, unit) Hashtbl.t = Hashtbl.create 8 in
-  let visit_ident loc name =
-    if lib && List.mem name d001_idents then
-      add ~rule:"D001" loc
-        (Printf.sprintf
-           "`%s` writes to stdout \xe2\x80\x94 in a Proc worker stdout is the \
-            result pipe; render through a caller-supplied formatter instead"
-           name);
-    if lib && List.mem name d002_idents then
-      add ~rule:"D002" loc
-        (Printf.sprintf
-           "raw `%s` traverses in hash-bucket order \xe2\x80\x94 use \
-            Tbl.sorted_bindings / fold_sorted / iter_sorted so traversal \
-            order cannot leak into output"
-           name);
-    if lib && (not (timing_whitelisted file)) && List.mem name d003_idents then
-      add ~rule:"D003" loc
-        (Printf.sprintf
-           "`%s` outside the engine timing whitelist (lib/engine/*, \
-            lib/core/runner.ml) \xe2\x80\x94 model code takes an explicit \
-            Numerics.Rng / clock from its caller"
-           name);
-    if lib && List.mem name d004_idents then
-      add ~rule:"D004" loc
-        (Printf.sprintf
-           "physical equality `%s` observes sharing, which varies with \
-            cache hits and backend \xe2\x80\x94 use structural equality or an \
-            explicit token"
-           name);
-    if lib && List.mem name d005_idents then
-      add ~rule:"D005" loc
-        (Printf.sprintf
-           "bare polymorphic `%s` \xe2\x80\x94 representational ordering on \
-            float-bearing keys and a C call per comparison; use \
-            Float.compare / Int.compare / String.compare or a typed \
-            comparator"
-           name);
-    if lib && (not (worker_entry file)) && List.mem name h001_idents then
-      add ~rule:"H001" loc
-        (Printf.sprintf
-           "`%s` in library code tears down the whole process \xe2\x80\x94 raise \
-            and let Engine.Pool contain and attribute the failure"
-           name);
-    if is_marshal name && not (Hashtbl.mem marshal_seen loc) then
-      add ~rule:"H002" loc
-        (Printf.sprintf
-           "`%s` passed around without a literal flags list at the call \
-            site \xe2\x80\x94 write the flags ([] or [Marshal.Closures]) where \
-            the value is marshalled"
-           name)
-  in
-  let expr (it : Ast_iterator.iterator) (e : Parsetree.expression) =
-    (match e.pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
-        let name = canonical txt in
-        if is_marshal name then begin
-          Hashtbl.replace marshal_seen loc ();
-          if not (List.exists (fun (_, a) -> is_list_literal a) args) then
-            add ~rule:"H002" loc
-              (Printf.sprintf
-                 "`%s` without an explicit flags list at the call site \
-                  \xe2\x80\x94 write [] or [Marshal.Closures] literally"
-                 name)
-        end
-    | Pexp_ident { txt; loc } -> visit_ident loc (canonical txt)
-    | _ -> ());
-    Ast_iterator.default_iterator.expr it e
-  in
-  let iterator = { Ast_iterator.default_iterator with expr } in
-  iterator.structure iterator str;
-  List.rev !findings
+let in_lib file =
+  String.length file >= 4 && String.sub file 0 4 = "lib/"
 
 (* --- H003: paired interfaces ---------------------------------------------- *)
 

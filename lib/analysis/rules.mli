@@ -6,7 +6,9 @@
     (stray stdout corrupting the Proc result pipe, unflagged Marshal)
     from recurring.  Rules are scoped by path: most apply only under
     [lib/], with explicit whitelists for the engine's timing and
-    process-control sites. *)
+    process-control sites.  The per-identifier rules run over the
+    typed trees ([Analysis_typed.Rules_typed]); this module holds the
+    catalog and the one file-set rule, H003. *)
 
 type meta = {
   id : string;
@@ -16,15 +18,14 @@ type meta = {
 
 val catalog : meta list
 (** Every rule the checker can emit, including the scanner's own
-    S001 (malformed suppression) and E001 (unparseable source). *)
+    S001 (malformed suppression) and E002 (no loadable typed tree). *)
 
 val known : string -> bool
 (** Is this a rule id from the catalog? *)
 
-val check_structure : file:string -> Parsetree.structure -> Finding.t list
-(** Run all AST rules over one implementation.  [file] must be the
-    path relative to the repo root with '/' separators — rule scoping
-    (lib/-only rules, engine whitelists) keys off it. *)
+val in_lib : string -> bool
+(** Is this root-relative path under [lib/]?  Most rules, the call
+    graph and the effects golden are [lib/]-only. *)
 
 val missing_interfaces : files:string list -> Finding.t list
 (** Rule H003: every [lib/] module must have a paired [.mli].  [files]

@@ -1,12 +1,12 @@
 (* Minimal SARIF 2.1.0 rendering, enough for code-scanning uploads:
    one run, the rule catalog as driver metadata, one result per
-   finding.  Suppressed/baselined findings are carried with a SARIF
+   finding.  Suppressed findings are carried with a SARIF
    suppression object instead of being dropped, so the dashboard and
    the text report agree on totals. *)
 
 let result_of ((f : Finding.t), (status : Finding.status)) =
   let level =
-    match status with Finding.Active -> "error" | _ -> "note"
+    match status with Finding.Active -> "error" | Finding.Suppressed -> "note"
   in
   let base =
     [
@@ -39,12 +39,10 @@ let result_of ((f : Finding.t), (status : Finding.status)) =
     | Finding.Active -> []
     | Finding.Suppressed ->
         [ ("suppressions", Json.List [ Json.Obj [ ("kind", Json.Str "inSource") ] ]) ]
-    | Finding.Baselined ->
-        [ ("suppressions", Json.List [ Json.Obj [ ("kind", Json.Str "external") ] ]) ]
   in
   Json.Obj (base @ suppression)
 
-let render ~reported =
+let render reported =
   let rules =
     List.map
       (fun (m : Rules.meta) ->

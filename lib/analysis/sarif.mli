@@ -1,6 +1,6 @@
 (** Minimal SARIF 2.1.0 rendering of a lint run, for code-scanning
     uploads.  Active findings are [error]-level results; suppressed
-    and baselined ones are carried with a SARIF suppression object so
-    totals match the text report. *)
+    ones are carried with a SARIF suppression object so totals match
+    the text report. *)
 
-val render : reported:(Finding.t * Finding.status) list -> Json.t
+val render : (Finding.t * Finding.status) list -> Json.t

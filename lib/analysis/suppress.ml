@@ -2,8 +2,8 @@ type t = { rules : string list; first_line : int; last_line : int }
 
 let marker = "lint: allow"
 
-(* Textual scan, not a lexer pass: keeping it textual lets the scanner
-   run on .mli files and on sources that fail to parse.  To avoid
+(* Textual scan, not a lexer pass: comments never reach the typed
+   trees the rules read, and a textual scan covers .mli files too.  To avoid
    tripping on prose that merely *mentions* the marker (rule
    rationales, doc comments, this very module), a marker only counts
    when it sits directly after a comment opener: "(*" (or "(**"),

@@ -1,12 +1,14 @@
 (* Ingestion of the `.cmt` typed trees dune already produces.
 
-   Dune compiles every library module with `-bin-annot`, leaving one
-   cmt per implementation under
-   `_build/default/lib/<dir>/.<lib>.objs/byte/<lib>__<Mod>.cmt` (the
-   wrapper alias module has no `__` and a `.ml-gen` source; it is
-   skipped).  The loader works both from the repo root (artifacts
-   under `_build/default/lib`) and from inside a dune action (cwd is
-   the build context root, artifacts directly under `lib`). *)
+   Dune compiles every module with `-bin-annot`, leaving one cmt per
+   implementation under
+   `_build/default/lib/<dir>/.<lib>.objs/byte/<lib>__<Mod>.cmt` for
+   libraries and `_build/default/<dir>/.<exe>.eobjs/byte/` for
+   executables and tests (an executable's main module gets its cmt
+   from `dune build @check`).  Wrapper alias modules have a `.ml-gen`
+   source and are skipped.  The loader works both from the repo root
+   (artifacts under `_build/default/<dir>`) and from inside a dune
+   action (cwd is the build context root, artifacts under `<dir>`). *)
 
 type unit_info = {
   ui_modname : string;  (** display module path, e.g. ["Engine.Pool"] *)
@@ -31,10 +33,24 @@ let display_of_modname m =
   done;
   Buffer.contents buf
 
-let search_dirs ~root =
-  [ Filename.concat root "lib"; Filename.concat (Filename.concat root "_build") (Filename.concat "default" "lib") ]
+(* The top-level directories of the scanned sources ("lib", "bin", ...).
+   Their cmts sit under [root/_build/default/<dir>] seen from the repo
+   root, and under [root/<dir>] from inside a dune action. *)
+let search_dirs ~root ~files =
+  List.sort_uniq String.compare
+    (List.map
+       (fun f ->
+         match String.index_opt f '/' with
+         | Some i -> String.sub f 0 i
+         | None -> f)
+       files)
+  |> List.concat_map (fun d ->
+         [
+           Filename.concat root d;
+           Filename.concat root (Filename.concat "_build/default" d);
+         ])
 
-let discover ~root =
+let discover ~root ~files =
   let out = ref [] in
   let rec walk dir =
     match Sys.readdir dir with
@@ -48,44 +64,18 @@ let discover ~root =
             else if Filename.check_suffix name ".cmt" then out := path :: !out)
           names
   in
-  List.iter walk (search_dirs ~root);
+  List.iter walk (search_dirs ~root ~files);
   List.sort String.compare !out
 
-(* Source paths inside cmts are as passed to the compiler — relative
-   to the build context root, i.e. already root-relative
-   ("lib/engine/pool.ml").  Guard against absolute or _build-prefixed
-   spellings anyway. *)
-let normalize_source src =
-  let strip_prefix p s =
-    if
-      String.length s > String.length p
-      && String.sub s 0 (String.length p) = p
-    then Some (String.sub s (String.length p) (String.length s - String.length p))
-    else None
-  in
-  let src =
-    match strip_prefix "_build/default/" src with Some s -> s | None -> src
-  in
-  match String.index_opt src '/' with
-  | Some _ when String.length src > 4 && String.sub src 0 4 = "lib/" -> Some src
-  | _ -> (
-      (* absolute path: cut at the last "lib/" segment *)
-      let rec find_from i acc =
-        match
-          if i + 4 <= String.length src then
-            if String.sub src i 4 = "lib/" then Some i else None
-          else None
-        with
-        | Some at -> find_from (i + 1) (Some at)
-        | None -> if i + 4 > String.length src then acc else find_from (i + 1) acc
-      in
-      match find_from 0 None with
-      | Some at -> Some (String.sub src at (String.length src - at))
-      | None -> None)
-
-let load ~root =
+(* Source paths inside cmts are as passed to the compiler: relative to
+   the build context root, i.e. already root-relative
+   ("lib/engine/pool.ml").  A unit is kept only when its source is one
+   of the scanned [files]; the first cmt naming a source wins. *)
+let load ~files cmts =
+  let scanned = Hashtbl.create 256 in
+  List.iter (fun f -> Hashtbl.replace scanned f ()) files;
   let errors = ref [] in
-  let seen = Hashtbl.create 64 in
+  let seen = Hashtbl.create 256 in
   let units = ref [] in
   List.iter
     (fun path ->
@@ -98,20 +88,16 @@ let load ~root =
       | cmt -> (
           match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
           | Cmt_format.Implementation str, Some src
-            when Filename.check_suffix src ".ml" -> (
-              match normalize_source src with
-              | Some source when not (Hashtbl.mem seen cmt.Cmt_format.cmt_modname)
-                ->
-                  Hashtbl.add seen cmt.Cmt_format.cmt_modname ();
-                  units :=
-                    {
-                      ui_modname = display_of_modname cmt.Cmt_format.cmt_modname;
-                      ui_source = source;
-                      ui_structure = str;
-                    }
-                    :: !units
-              | _ -> ())
+            when Hashtbl.mem scanned src && not (Hashtbl.mem seen src) ->
+              Hashtbl.add seen src ();
+              units :=
+                {
+                  ui_modname = display_of_modname cmt.Cmt_format.cmt_modname;
+                  ui_source = src;
+                  ui_structure = str;
+                }
+                :: !units
           | _ -> ()))
-    (discover ~root);
-  ( List.sort (fun a b -> String.compare a.ui_modname b.ui_modname) !units,
+    cmts;
+  ( List.sort (fun a b -> String.compare a.ui_source b.ui_source) !units,
     List.rev !errors )

@@ -1,5 +1,7 @@
-(** The interprocedural T-rules: pool data races (T001), determinism
-    taint on cache/serve roots (T002), float [=]/[compare] (T003). *)
+(** Every rule that reads code: pool data races (T001), determinism
+    taint on cache/serve roots (T002), float [=]/[compare] (T003), and
+    the per-identifier rules D001–D005, H001 and H002 (catalogued in
+    {!Analysis.Rules}). *)
 
 type config = {
   pool_sinks : string list;
@@ -28,7 +30,12 @@ val t001 : Summarize.t -> Callgraph.graph -> Analysis.Finding.t list
 
 val t002 : config -> Summarize.t -> Callgraph.graph -> Analysis.Finding.t list
 
-val t003 : config -> Cmt_load.unit_info list -> Analysis.Finding.t list
+val per_occurrence :
+  config -> Cmt_load.unit_info list -> Analysis.Finding.t list
+(** One walk over each unit's typed tree: D001–D005, H001, H002 and
+    T003, each scoped by the unit's source path.  Names are matched
+    as resolved paths, through [open]s and module aliases; values
+    bound inside the unit match nothing. *)
 
 val run :
   config ->
@@ -36,4 +43,5 @@ val run :
   Callgraph.graph ->
   Cmt_load.unit_info list ->
   Analysis.Finding.t list
-(** All three rules, concatenated (T001, T002, then T003). *)
+(** T001 and T002 over the graph, then {!per_occurrence} over
+    [units]. *)

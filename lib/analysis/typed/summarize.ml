@@ -29,7 +29,7 @@ let starts_with prefix s =
 
 let clock_heads =
   [
-    "Unix.gettimeofday"; "Unix.time"; "Unix.times"; "Sys.time"; "Sys.cpu_time";
+    "Unix.gettimeofday"; "Unix.time"; "Unix.times"; "Sys.time";
     "Monotonic_clock.now";
   ]
 

@@ -7,6 +7,19 @@ type provenance =
 
 type t
 
+val clock_heads : string list
+(** Clock reads ([Unix.gettimeofday], [Sys.time], ...): the
+    [Nondet_clock] heads, and rule D003's clock list. *)
+
+val is_rand_head : string -> bool
+(** Ambient randomness: any global [Random.*] value, plus
+    [Random.State.make_self_init].  The [Nondet_rand] heads, and
+    rule D003's randomness test. *)
+
+val hash_order_heads : string list
+(** Hash-bucket-order traversals ([Hashtbl.iter], [fold], [to_seq*],
+    [stats]): the [Nondet_hash] heads, and rule D002's list. *)
+
 val run :
   trusted_prefixes:string list ->
   sanitizers:string list ->

@@ -1,17 +1,25 @@
-(** Driver for the typed pass: load cmts, extract the call graph, run
-    the effect fixpoint and the T-rules. *)
+(** Driver for the rules: load the cmts of the scanned sources,
+    extract the [lib/] call graph, run the effect fixpoint and every
+    rule. *)
 
 type outcome = {
   findings : Analysis.Finding.t list;
-      (** T001/T002/T003 plus E002 cmt-load errors, sorted *)
+      (** every rule's findings plus [E002] load/coverage errors,
+          sorted *)
   summaries : (string * Effects.Set.t) list;  (** sorted by node id *)
   units : int;  (** implementation modules analyzed *)
 }
 
-val available : root:string -> bool
-(** Are there any cmts to read (i.e. has [_build] been populated)? *)
-
-val run : ?config:Rules_typed.config -> root:string -> unit -> outcome
+val run :
+  ?config:Rules_typed.config ->
+  root:string ->
+  files:string list ->
+  unit ->
+  (outcome, string) result
+(** [files] are the scanned root-relative sources.  [Error] when no
+    cmt exists under their directories at all (nothing is built);
+    otherwise each scanned [.ml] that no loaded cmt names becomes an
+    [E002] finding, so a missing typed tree is never a silent pass. *)
 
 val golden_string : (string * Effects.Set.t) list -> string
 (** Deterministic bytes of [lint/effects.golden.json], trailing

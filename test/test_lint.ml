@@ -1,27 +1,28 @@
-(* The lint linting itself: fixture snippets per rule (positive +
-   negative), suppression-comment honoring, baseline add/remove
-   round-trips and the JSON-reporter schema.
+(* The lint linting itself: compiled fixture snippets per rule
+   (positive + negative, each at the repo path whose scoping it
+   exercises; see {!Lint_fixture}), suppression-comment honoring over
+   synthesized findings, and the JSON-reporter schema.
 
    Note on fixtures: suppression markers inside these string literals
-   are visible to the *repo* lint too (its scanner is textual), so
-   well-formed fixture suppressions use the ASCII '-' separator (they
-   are harmless no-ops at test_lint.ml's own scope) and malformed ones
-   are assembled by concatenation so the marker never appears
-   contiguously in this file. *)
+   are visible to the *repo* lint too (its suppression scanner is
+   textual), so well-formed fixture suppressions use the ASCII '-'
+   separator (they are harmless no-ops at test_lint.ml's own scope)
+   and malformed ones are assembled by concatenation so the marker
+   never appears contiguously in this file. *)
 
 let lines = String.concat "\n"
 
-(* Statuses for [rule] in a one-fixture check. *)
-let statuses_of ~file contents rule =
-  Analysis.Lint.check_source ~file contents
-  |> List.filter_map (fun ((f : Analysis.Finding.t), status) ->
-         if f.Analysis.Finding.rule = rule then Some status else None)
-
+(* How many [rule] findings the typed pass raises on one compiled
+   snippet at [file]. *)
 let check_rule ~file contents rule expected () =
+  let found =
+    Lint_fixture.findings [ (file, contents) ]
+    |> List.filter (fun (f : Analysis.Finding.t) ->
+           f.Analysis.Finding.rule = rule && f.Analysis.Finding.file = file)
+  in
   Alcotest.(check int)
     (Printf.sprintf "%s findings for %s in %s" rule file contents)
-    expected
-    (List.length (statuses_of ~file contents rule))
+    expected (List.length found)
 
 (* --- one positive + one negative fixture per rule ------------------------- *)
 
@@ -38,14 +39,15 @@ let d001 () =
 let d002 () =
   check_rule ~file:"lib/fake/mod.ml"
     "let f h = Hashtbl.fold (fun k v a -> (k, v) :: a) h []" "D002" 1 ();
-  check_rule ~file:"lib/fake/mod.ml" "let f h = Hashtbl.iter ignore h" "D002" 1
-    ();
+  check_rule ~file:"lib/fake/mod.ml"
+    "let f h = Hashtbl.iter (fun _ _ -> ()) h" "D002" 1 ();
   check_rule ~file:"lib/fake/mod.ml" "let f h = Tbl.sorted_bindings h" "D002" 0
     ();
   (* point lookups are order-free *)
   check_rule ~file:"lib/fake/mod.ml" "let f h k = Hashtbl.find_opt h k" "D002"
     0 ();
-  check_rule ~file:"test/fake.ml" "let f h = Hashtbl.iter ignore h" "D002" 0 ()
+  check_rule ~file:"test/fake.ml" "let f h = Hashtbl.iter (fun _ _ -> ()) h"
+    "D002" 0 ()
 
 let d003 () =
   check_rule ~file:"lib/core/capture.ml" "let t () = Unix.gettimeofday ()"
@@ -80,12 +82,13 @@ let d003_idents () =
   check_rule ~file:"lib/fake/mod.ml"
     "let s () = Random.State.make_self_init ()" "D003" 1 ();
   check_rule ~file:"lib/fake/mod.ml" "let t () = Unix.times ()" "D003" 1 ();
-  check_rule ~file:"lib/fake/mod.ml" "let t () = Sys.cpu_time ()" "D003" 1 ();
+  (* Sys.time is the stdlib's process CPU clock *)
+  check_rule ~file:"lib/fake/mod.ml" "let t () = Sys.time ()" "D003" 1 ();
   (* an explicitly-seeded state is the sanctioned shape *)
   check_rule ~file:"lib/fake/mod.ml"
     "let s seed = Random.State.make [| seed |]" "D003" 0 ();
   (* engine plumbing and bin/ keep their exemption *)
-  check_rule ~file:"lib/engine/pool.ml" "let t () = Sys.cpu_time ()" "D003" 0
+  check_rule ~file:"lib/engine/pool.ml" "let t () = Sys.time ()" "D003" 0
     ();
   check_rule ~file:"bin/fake.ml" "let s () = Random.State.make_self_init ()"
     "D003" 0 ()
@@ -164,6 +167,25 @@ let h002 () =
   check_rule ~file:"test/fake.ml" "let s v flags = Marshal.to_bytes v flags"
     "H002" 1 ()
 
+(* --- resolved names: what a parser alone cannot see -------------------- *)
+
+let d003_open () =
+  (* `open Unix` hides the module at the call site, not in the path *)
+  check_rule ~file:"lib/fake/mod.ml"
+    (lines [ "open Unix"; "let t () = gettimeofday ()" ])
+    "D003" 1 ()
+
+let d002_alias () =
+  check_rule ~file:"lib/fake/mod.ml"
+    (lines [ "module H = Hashtbl"; "let f h = H.iter (fun _ _ -> ()) h" ])
+    "D002" 1 ()
+
+let d005_local () =
+  (* a local binding named compare is not Stdlib.compare *)
+  check_rule ~file:"lib/fake/mod.ml"
+    (lines [ "let compare = Int.compare"; "let f xs = List.sort compare xs" ])
+    "D005" 0 ()
+
 let h003 () =
   let findings =
     Analysis.Rules.missing_interfaces
@@ -179,13 +201,20 @@ let h003 () =
       Alcotest.(check string) "rule id" "H003" f.Analysis.Finding.rule)
     findings
 
-let parse_error () =
-  match statuses_of ~file:"lib/fake/mod.ml" "let let let" "E001" with
-  | [ Analysis.Finding.Active ] -> ()
-  | other ->
-      Alcotest.failf "expected one active E001, got %d" (List.length other)
-
 (* --- suppression honoring ------------------------------------------------- *)
+
+(* Classification alone, over one synthesized finding: the statuses
+   [rule] ends up with in a lib/fake/mod.ml holding [contents]. *)
+let statuses_of ?line contents rule =
+  let file = "lib/fake/mod.ml" in
+  let findings =
+    match line with
+    | Some line -> [ Analysis.Finding.v ~rule ~file ~line ~col:0 "fixture" ]
+    | None -> []
+  in
+  Analysis.Lint.classify [ (file, contents) ] findings
+  |> List.filter_map (fun ((f : Analysis.Finding.t), status) ->
+         if f.Analysis.Finding.rule = rule then Some status else None)
 
 let suppression_honored () =
   let fixture =
@@ -195,14 +224,14 @@ let suppression_honored () =
         "let f h = Hashtbl.fold (fun k v a -> (k, v) :: a) h []";
       ]
   in
-  (match statuses_of ~file:"lib/fake/mod.ml" fixture "D002" with
+  (match statuses_of ~line:2 fixture "D002" with
   | [ Analysis.Finding.Suppressed ] -> ()
   | _ -> Alcotest.fail "comment-above suppression should mark Suppressed");
   (* same-line form *)
   let same_line =
     "let f h = Hashtbl.iter ignore h (* lint: allow D002 - fixture *)"
   in
-  (match statuses_of ~file:"lib/fake/mod.ml" same_line "D002" with
+  (match statuses_of ~line:1 same_line "D002" with
   | [ Analysis.Finding.Suppressed ] -> ()
   | _ -> Alcotest.fail "same-line suppression should mark Suppressed");
   (* a suppression for a different rule must not silence D002 *)
@@ -213,7 +242,7 @@ let suppression_honored () =
         "let f h = Hashtbl.iter ignore h";
       ]
   in
-  (match statuses_of ~file:"lib/fake/mod.ml" wrong_rule "D002" with
+  (match statuses_of ~line:2 wrong_rule "D002" with
   | [ Analysis.Finding.Active ] -> ()
   | _ -> Alcotest.fail "unrelated suppression must leave the finding Active");
   (* coverage is tight: two lines below the comment is out of range *)
@@ -225,7 +254,7 @@ let suppression_honored () =
         "let f h = Hashtbl.iter ignore h";
       ]
   in
-  match statuses_of ~file:"lib/fake/mod.ml" too_far "D002" with
+  match statuses_of ~line:3 too_far "D002" with
   | [ Analysis.Finding.Active ] -> ()
   | _ -> Alcotest.fail "suppression must not reach two lines down"
 
@@ -243,7 +272,7 @@ let suppression_block () =
         "  !acc";
       ]
   in
-  (match statuses_of ~file:"lib/fake/mod.ml" multi_line "D002" with
+  (match statuses_of ~line:4 multi_line "D002" with
   | [ Analysis.Finding.Suppressed ] -> ()
   | _ -> Alcotest.fail "line 4 of the covered binding should be Suppressed");
   (* the next top-level binding is outside the block *)
@@ -256,7 +285,7 @@ let suppression_block () =
         "let g h = Hashtbl.iter ignore h";
       ]
   in
-  (match statuses_of ~file:"lib/fake/mod.ml" next_binding "D002" with
+  (match statuses_of ~line:4 next_binding "D002" with
   | [ Analysis.Finding.Active ] -> ()
   | _ -> Alcotest.fail "the binding after the covered one must stay Active");
   (* multi-line comment: the block starts after the comment close *)
@@ -269,7 +298,7 @@ let suppression_block () =
         "  Hashtbl.fold (fun k v a -> (k, v) :: a) h []";
       ]
   in
-  match statuses_of ~file:"lib/fake/mod.ml" spanning_comment "D002" with
+  match statuses_of ~line:4 spanning_comment "D002" with
   | [ Analysis.Finding.Suppressed ] -> ()
   | _ -> Alcotest.fail "coverage must start at the comment close, not its open"
 
@@ -277,7 +306,7 @@ let suppression_malformed () =
   (* Assembled by concatenation so the repo lint does not read this
      test's own source as containing a malformed marker. *)
   let missing_ids = "(* lint" ^ ": allow - no rule ids here *)\nlet x = 1" in
-  (match statuses_of ~file:"lib/fake/mod.ml" missing_ids "S001" with
+  (match statuses_of missing_ids "S001" with
   | [ Analysis.Finding.Active ] -> ()
   | other ->
       Alcotest.failf "missing ids: expected one active S001, got %d"
@@ -285,81 +314,33 @@ let suppression_malformed () =
   let missing_reason =
     "(* lint" ^ ": allow D002 *)\nlet f h = Hashtbl.iter ignore h"
   in
-  (match statuses_of ~file:"lib/fake/mod.ml" missing_reason "S001" with
+  (match statuses_of missing_reason "S001" with
   | [ Analysis.Finding.Active ] -> ()
   | other ->
       Alcotest.failf "missing reason: expected one active S001, got %d"
         (List.length other));
   (* ... and a malformed suppression suppresses nothing *)
-  match statuses_of ~file:"lib/fake/mod.ml" missing_reason "D002" with
+  match statuses_of ~line:2 missing_reason "D002" with
   | [ Analysis.Finding.Active ] -> ()
   | _ -> Alcotest.fail "malformed suppression must not silence the finding"
-
-(* --- baseline ------------------------------------------------------------- *)
-
-(* Pair every fixture module with an interface so H003 stays out of
-   the way of the rule under test. *)
-let violation_source = ("lib/fake/mod.ml", "let f () = print_endline \"x\"")
-let violation_mli = ("lib/fake/mod.mli", "val f : unit -> unit")
-
-let baseline_roundtrip () =
-  let outcome = Analysis.Lint.run_sources [ violation_source; violation_mli ] in
-  let active = Analysis.Lint.active outcome in
-  Alcotest.(check int) "one active before baselining" 1 (List.length active);
-  let entries = Analysis.Baseline.of_findings active in
-  let path = Filename.temp_file "tiered-lint-baseline" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Analysis.Baseline.save path entries;
-      let loaded =
-        match Analysis.Baseline.load path with
-        | Ok b -> b
-        | Error msg -> Alcotest.failf "baseline load: %s" msg
-      in
-      Alcotest.(check bool) "save/load round-trip" true (loaded = entries);
-      (* add: the baselined finding no longer fails the build *)
-      let outcome' =
-        Analysis.Lint.run_sources ~baseline:loaded
-          [ violation_source; violation_mli ]
-      in
-      Alcotest.(check int) "no active after baselining" 0
-        (List.length (Analysis.Lint.active outcome'));
-      Alcotest.(check int) "nothing stale while it still fires" 0
-        (List.length outcome'.Analysis.Lint.stale);
-      (* remove: once the violation is fixed the entry reads as stale *)
-      let fixed = ("lib/fake/mod.ml", "let f ppf = Format.fprintf ppf \"x\"") in
-      let outcome'' =
-        Analysis.Lint.run_sources ~baseline:loaded [ fixed; violation_mli ]
-      in
-      Alcotest.(check int) "fixed source stays clean" 0
-        (List.length (Analysis.Lint.active outcome''));
-      Alcotest.(check int) "entry reported stale" 1
-        (List.length outcome''.Analysis.Lint.stale))
-
-let baseline_missing_file () =
-  match Analysis.Baseline.load "/nonexistent/lint/baseline.json" with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "missing baseline must read as empty"
-  | Error msg -> Alcotest.failf "missing baseline must not error: %s" msg
 
 (* --- JSON reporter schema -------------------------------------------------- *)
 
 let json_schema () =
-  let outcome =
-    Analysis.Lint.run_sources
+  let reported =
+    Analysis.Lint.classify
       [
-        violation_source;
-        violation_mli;
+        ("lib/fake/mod.ml", "let f () = print_endline \"x\"");
+        ("lib/fake/mod.mli", "val f : unit -> unit");
         ("lib/fake/clean.ml", "let ok = 42");
         ("lib/fake/clean.mli", "val ok : int");
       ]
+      [
+        Analysis.Finding.v ~rule:"D001" ~file:"lib/fake/mod.ml" ~line:1
+          ~col:11 "fixture";
+      ]
   in
-  let rendered =
-    Analysis.Json.to_string
-      (Analysis.Reporter.json ~reported:outcome.Analysis.Lint.reported
-         ~stale:outcome.Analysis.Lint.stale)
-  in
+  let rendered = Analysis.Json.to_string (Analysis.Reporter.json reported) in
   let json =
     match Analysis.Json.of_string rendered with
     | Ok j -> j
@@ -371,7 +352,7 @@ let json_schema () =
     | None -> Alcotest.failf "missing %S field" name
   in
   Alcotest.(check (option int))
-    "version" (Some 1)
+    "version" (Some 2)
     (Analysis.Json.to_int (field "version" json));
   Alcotest.(check (option string))
     "tool" (Some "tiered-lint")
@@ -388,7 +369,7 @@ let json_schema () =
         (fun key -> ignore (field key f))
         [ "rule"; "file"; "line"; "col"; "message"; "status" ];
       match Analysis.Json.to_str (field "status" f) with
-      | Some ("active" | "suppressed" | "baselined") -> ()
+      | Some ("active" | "suppressed") -> ()
       | _ -> Alcotest.fail "status must be a known enum value")
     findings;
   let summary = field "summary" json in
@@ -397,11 +378,11 @@ let json_schema () =
       match Analysis.Json.to_int (field key summary) with
       | Some n when n >= 0 -> ()
       | _ -> Alcotest.failf "summary.%s must be a non-negative int" key)
-    [ "active"; "suppressed"; "baselined"; "stale_baseline" ];
+    [ "active"; "suppressed" ];
   (* count consistency: summary.active equals the active findings *)
   Alcotest.(check (option int))
     "summary.active consistent"
-    (Some (List.length (Analysis.Lint.active outcome)))
+    (Some (List.length (Analysis.Lint.active reported)))
     (Analysis.Json.to_int (field "active" summary))
 
 let catalog_closed () =
@@ -411,8 +392,10 @@ let catalog_closed () =
       Alcotest.(check bool) (id ^ " catalogued") true (Analysis.Rules.known id))
     [
       "D001"; "D002"; "D003"; "D004"; "D005"; "H001"; "H002"; "H003"; "S001";
-      "E001"; "T001"; "T002"; "T003"; "E002";
-    ]
+      "T001"; "T002"; "T003"; "E002";
+    ];
+  (* parse failures stop the build before lint runs *)
+  Alcotest.(check bool) "E001 retired" false (Analysis.Rules.known "E001")
 
 let suite =
   [
@@ -428,17 +411,15 @@ let suite =
     Alcotest.test_case "D005 on the DP kernel files" `Quick d005_kernel;
     Alcotest.test_case "H001 exit outside worker entry" `Quick h001;
     Alcotest.test_case "H002 Marshal flags literal" `Quick h002;
+    Alcotest.test_case "D003 through open Unix" `Quick d003_open;
+    Alcotest.test_case "D002 through a module alias" `Quick d002_alias;
+    Alcotest.test_case "D005 skips a local compare" `Quick d005_local;
     Alcotest.test_case "H003 paired .mli" `Quick h003;
-    Alcotest.test_case "E001 parse failure" `Quick parse_error;
     Alcotest.test_case "suppressions honored" `Quick suppression_honored;
     Alcotest.test_case "suppression covers the following block" `Quick
       suppression_block;
     Alcotest.test_case "malformed suppressions flagged" `Quick
       suppression_malformed;
-    Alcotest.test_case "baseline add/remove round-trip" `Quick
-      baseline_roundtrip;
-    Alcotest.test_case "missing baseline reads empty" `Quick
-      baseline_missing_file;
     Alcotest.test_case "JSON reporter schema" `Quick json_schema;
     Alcotest.test_case "rule catalog closed" `Quick catalog_closed;
   ]

@@ -1,53 +1,18 @@
-(* The typed lint engine against compiled fixtures: each T-rule gets
-   a small module set compiled with `ocamlc -bin-annot` into a temp
-   root, then the real cmt pipeline (load -> extract -> fixpoint ->
-   rules) runs over it.  Pure pieces (modname display, golden
-   round-trip) need no compiler. *)
+(* The typed lint engine against compiled fixtures (see
+   {!Lint_fixture}): each T-rule gets a small module set, then the
+   real cmt pipeline (load -> extract -> fixpoint -> rules) runs over
+   it.  Pure pieces (modname display, golden round-trip) need no
+   compiler. *)
 
 module TL = Analysis_typed.Typed_lint
 module RT = Analysis_typed.Rules_typed
 module E = Analysis_typed.Effects
 
-let ocamlc_available =
-  lazy (Sys.command "ocamlc -version > /dev/null 2>&1" = 0)
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
-(* Build a temp root with lib/<name>.ml fixtures compiled in the given
-   order; returns the root.  Raises on compile failure (fixtures are
-   ours, a failure is a test bug). *)
-let compile_fixture mods =
-  let root = Filename.temp_file "typed-lint" ".d" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  Sys.mkdir (Filename.concat root "lib") 0o755;
-  List.iter
-    (fun (name, src) ->
-      write_file
-        (Filename.concat root (Filename.concat "lib" (name ^ ".ml")))
-        src)
-    mods;
-  let cmd =
-    Printf.sprintf "cd %s && ocamlc -bin-annot -I lib -c %s > ocamlc.log 2>&1"
-      (Filename.quote root)
-      (String.concat " " (List.map (fun (n, _) -> "lib/" ^ n ^ ".ml") mods))
-  in
-  if Sys.command cmd <> 0 then
-    Alcotest.failf "fixture does not compile (see %s/ocamlc.log)" root;
-  root
-
-let cleanup root = ignore (Sys.command ("rm -rf " ^ Filename.quote root))
-
+(* T-rule fixtures are lib/<name>.ml modules compiled in order. *)
 let with_fixture mods f =
-  if not (Lazy.force ocamlc_available) then
-    print_endline "  [skipped: no ocamlc on PATH]"
-  else begin
-    let root = compile_fixture mods in
-    Fun.protect ~finally:(fun () -> cleanup root) (fun () -> f root)
-  end
+  Lint_fixture.with_root
+    (List.map (fun (name, src) -> ("lib/" ^ name ^ ".ml", src)) mods)
+    f
 
 (* A pool lookalike so fixtures need no real engine: the test config
    points the sink list at Pool.map. *)
@@ -84,7 +49,7 @@ let t001_racy_capture () =
           ] );
     ]
     (fun root ->
-      let o = TL.run ~config:fixture_config ~root () in
+      let o = Lint_fixture.run ~config:fixture_config root in
       match
         List.filter
           (fun (f : Analysis.Finding.t) -> f.Analysis.Finding.rule = "T001")
@@ -120,7 +85,7 @@ let t001_mutex_guarded () =
           ] );
     ]
     (fun root ->
-      let o = TL.run ~config:fixture_config ~root () in
+      let o = Lint_fixture.run ~config:fixture_config root in
       Alcotest.(check (list string))
         "mutex-protected access passes" []
         (List.filter (fun r -> r = "T001") (rules_of o)))
@@ -140,7 +105,7 @@ let t001_whitelist () =
     ]
     (fun root ->
       (* same shape as the racy fixture, but Wl. is whitelisted *)
-      let o = TL.run ~config:fixture_config ~root () in
+      let o = Lint_fixture.run ~config:fixture_config root in
       Alcotest.(check (list string))
         "whitelisted module state passes" []
         (List.filter (fun r -> r = "T001") (rules_of o)))
@@ -161,7 +126,7 @@ let t001_init_only_read () =
     ]
     (fun root ->
       (* written only during module init: read-only at run time, safe *)
-      let o = TL.run ~config:fixture_config ~root () in
+      let o = Lint_fixture.run ~config:fixture_config root in
       Alcotest.(check (list string))
         "init-only table read passes" []
         (List.filter (fun r -> r = "T001") (rules_of o)))
@@ -176,7 +141,7 @@ let t002_two_hops () =
       ("cachekey", "let key () = int_of_float (Mid.helper ())\n");
     ]
     (fun root ->
-      let o = TL.run ~config:fixture_config ~root () in
+      let o = Lint_fixture.run ~config:fixture_config root in
       match
         List.filter
           (fun (f : Analysis.Finding.t) -> f.Analysis.Finding.rule = "T002")
@@ -208,7 +173,7 @@ let t002_clean_root () =
       ("cachekey", "let key () = Mid.helper ()\n");
     ]
     (fun root ->
-      let o = TL.run ~config:fixture_config ~root () in
+      let o = Lint_fixture.run ~config:fixture_config root in
       Alcotest.(check (list string))
         "deterministic root passes" []
         (List.filter (fun r -> r = "T002") (rules_of o)))
@@ -228,7 +193,7 @@ let t003_float_compare () =
           ] );
     ]
     (fun root ->
-      let o = TL.run ~config:fixture_config ~root () in
+      let o = Lint_fixture.run ~config:fixture_config root in
       let t003 =
         List.filter
           (fun (f : Analysis.Finding.t) -> f.Analysis.Finding.rule = "T003")
@@ -252,7 +217,11 @@ let aliased_calls () =
       ("alias", "let f = Mid.helper\nlet g () = f () +. 2.\n");
     ]
     (fun root ->
-      let units, errs = Analysis_typed.Cmt_load.load ~root in
+      let units, errs =
+        Analysis_typed.Cmt_load.load ~files:(Lint_fixture.files root)
+          (Analysis_typed.Cmt_load.discover ~root
+             ~files:(Lint_fixture.files root))
+      in
       Alcotest.(check int) "no load errors" 0 (List.length errs);
       let graph =
         Analysis_typed.Callgraph.extract ~sinks:[] ~safe_type_heads:[] units
@@ -273,6 +242,35 @@ let aliased_calls () =
       | hops ->
           let last, _ = List.nth hops (List.length hops - 1) in
           Alcotest.(check string) "chain ends in Leaf.now" "Leaf.now" last)
+
+(* --- E002: nothing is checked silently ------------------------------------ *)
+
+let no_cmts_fails () =
+  Lint_fixture.with_root ~unbuilt:[ ("lib/a.ml", "let x = 1\n") ] []
+    (fun root ->
+      match TL.run ~root ~files:(Lint_fixture.files root) () with
+      | Ok _ -> Alcotest.fail "a tree with no cmt at all must not lint clean"
+      | Error msg ->
+          let needle = "run `dune build` first" in
+          let n = String.length needle and m = String.length msg in
+          let rec has i =
+            i + n <= m && (String.sub msg i n = needle || has (i + 1))
+          in
+          Alcotest.(check bool) "message says to build first" true (has 0))
+
+let unbuilt_source_reported () =
+  Lint_fixture.with_root
+    ~unbuilt:[ ("lib/b.ml", "let y = 2\n") ]
+    [ ("lib/a.ml", "let x = 1\n") ]
+    (fun root ->
+      let o = Lint_fixture.run root in
+      Alcotest.(check (list (pair string string)))
+        "one E002 naming the unbuilt source"
+        [ ("E002", "lib/b.ml") ]
+        (List.map
+           (fun (f : Analysis.Finding.t) ->
+             (f.Analysis.Finding.rule, f.Analysis.Finding.file))
+           o.TL.findings))
 
 (* --- effects golden round-trip --------------------------------------------- *)
 
@@ -341,6 +339,9 @@ let suite =
     Alcotest.test_case "T002 clean root passes" `Quick t002_clean_root;
     Alcotest.test_case "T003 float compares" `Quick t003_float_compare;
     Alcotest.test_case "aliased cross-module calls" `Quick aliased_calls;
+    Alcotest.test_case "E002 when nothing is built" `Quick no_cmts_fails;
+    Alcotest.test_case "E002 names an unbuilt source" `Quick
+      unbuilt_source_reported;
     Alcotest.test_case "effects golden round-trip" `Quick golden_roundtrip;
     Alcotest.test_case "atom string forms" `Quick atom_strings;
     Alcotest.test_case "modname display" `Quick display_modnames;
