@@ -551,7 +551,11 @@ let trace_cmd =
     in
     (match format with
     | `Csv -> Flowgen.Trace.save ~path:out records
-    | `Wire -> Flowgen.Netflow.Wire.write_file out records);
+    | `Wire ->
+        (* Synthesis emits flow by flow; serve --from needs the stream
+           in time order (the ingest contract). *)
+        Flowgen.Netflow.Wire.write_file out
+          (Flowgen.Netflow.in_time_order records));
     Format.fprintf ppf "wrote %s: %s@." out (Flowgen.Trace.summarize records)
   in
   Cmd.v

@@ -30,13 +30,22 @@ let of_name s =
 (* Indices [0, n) sorted by a per-flow key, decreasing. Ties break by
    index for determinism. Monomorphic comparisons: the keys are floats
    (Float.compare totally orders NaN exactly like the polymorphic
-   compare did, so this is behavior-preserving). *)
+   compare did, so this is behavior-preserving). The index tie-break
+   makes the sorted order unique, so a key already in that order — the
+   streaming re-tier hands over cost-sorted markets — returns the
+   identity after one O(n) scan instead of a sort. *)
 let order_by_desc (key : float array) n =
   let idx = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      match Float.compare key.(j) key.(i) with 0 -> Int.compare i j | c -> c)
-    idx;
+  let sorted = ref true and k = ref 1 in
+  while !sorted && !k < n do
+    sorted := Float.compare key.(!k - 1) key.(!k) >= 0;
+    incr k
+  done;
+  if not !sorted then
+    Array.sort
+      (fun i j ->
+        match Float.compare key.(j) key.(i) with 0 -> Int.compare i j | c -> c)
+      idx;
   idx
 
 let token_bucket ~weights ~order ~n_bundles =
@@ -192,10 +201,10 @@ let profit_weighted_classes market ~n_bundles =
    below). Exposed (see the mli) so the kernel grid test and the
    regression suite can cross-check the kernels on exactly the
    seg_value the strategy runs. The partition itself is delegated to
-   [Numerics.Segdp.solve]: region-wise divide-and-conquer layers with
-   Monge/total-monotonicity spot-checks, an SMAWK middle rung and an
-   exact quadratic backstop, cut-for-cut identical to the historical
-   O(B n^2) DP. Prefix rows are [floatarray]s read through unsafe gets:
+   [Numerics.Segdp.solve]: certified SMAWK layers (region-wise
+   divide-and-conquer first when logit splits the order into regions)
+   over an exact quadratic backstop, cut-for-cut identical to the
+   historical O(B n^2) DP. Prefix rows are [floatarray]s read through unsafe gets:
    the indices are pinned to [0, n] by construction and the closures
    are the hottest call in the repo. *)
 let dp_inputs market =

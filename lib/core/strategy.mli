@@ -34,10 +34,10 @@ val of_name : string -> t
 
 val apply : t -> Market.t -> n_bundles:int -> Bundle.t
 (** Raises [Invalid_argument] when [n_bundles < 1]. [Optimal] runs the
-    segment DP through {!Numerics.Segdp.solve} (region-wise
-    divide-and-conquer layers, Monge/total-monotonicity spot-checks,
-    SMAWK middle rung, exact quadratic backstop) — cut-for-cut
-    identical to the historical O(B n^2) DP. *)
+    segment DP through {!Numerics.Segdp.solve} (certified SMAWK layers,
+    region-wise divide-and-conquer first on multi-region logit layers,
+    exact quadratic backstop) — cut-for-cut identical to the historical
+    O(B n^2) DP. *)
 
 val dp_inputs : Market.t -> int array * (int -> int -> float) * int array
 (** [dp_inputs market] is [(order, seg_value, regions)]: flow indices
@@ -50,7 +50,10 @@ val dp_inputs : Market.t -> int array * (int -> int -> float) * int array
     ranges and at the exp-saturation point, so each region's segment
     profit is a single smooth, inverse-Monge branch. Exposed for the
     kernel grid test and the fast-vs-quadratic regression suite. O(n)
-    setup; each [seg_value] call is O(1) off prefix sums. *)
+    setup when the market's flows are already in that order (the
+    streaming re-tier builds them so; [order] is then the identity),
+    O(n log n) otherwise; each [seg_value] call is O(1) off prefix
+    sums. *)
 
 val token_bucket : weights:float array -> order:int array -> n_bundles:int -> Bundle.t
 (** The paper's token-bucket grouping: budget [sum w / B] per bundle,

@@ -124,6 +124,9 @@ let synthesize ?(shape = default_shape) ~rng gts =
     gts;
   List.rev !records
 
+let in_time_order records =
+  List.stable_sort (fun a b -> Int.compare a.first_s b.first_s) records
+
 (* ------------------------------------------------------------------ *)
 (* Binary wire codec: NetFlow v5 and a minimal IPFIX data record.      *)
 (* ------------------------------------------------------------------ *)

@@ -55,7 +55,13 @@ val synthesize :
     total bytes of a flow's records at any single router equal
     [gt_mbps * day_seconds * 125_000] up to the per-bin noise (which is
     mean-one). Ports and protocol are drawn from a realistic-looking
-    fixed distribution. *)
+    fixed distribution. Records come flow by flow, so their [first_s]
+    is {e not} monotone; see {!in_time_order}. *)
+
+val in_time_order : record list -> record list
+(** Stable sort by [first_s]: the nondecreasing order a streaming
+    consumer needs, with same-second records (router duplicates of one
+    window) kept in their given order. *)
 
 (** Binary wire codec: NetFlow v5 packets and a minimal IPFIX (RFC 7011
     framing) data record, plus a framed pull-based reader with bounded

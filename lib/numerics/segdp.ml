@@ -3,33 +3,38 @@
    Layer b of the DP is a max-plus matrix product against the previous
    layer: A_b[i][j] = dp_{b-1}(i-1) + seg_value i j. When A_b is inverse
    Monge (the CED closed-form segment profit is; linear/logit are in
-   practice), the leftmost column argmax is nondecreasing in j, so a
-   divide-and-conquer recursion computes the whole layer in O(n log n)
-   evaluations instead of O(n^2).
+   practice), the leftmost column argmax is nondecreasing in j, so SMAWK
+   computes the whole layer in O(n) evaluations, and a divide-and-conquer
+   recursion in O(n log n), instead of O(n^2).
 
-   Each layer climbs a three-rung ladder, each rung certified by the
-   same runtime spot-check (exact re-solve of sampled columns, value and
-   argmax bit-for-bit):
+   Each layer climbs a ladder of rungs, each certified by the same
+   runtime spot-check (exact re-solve of sampled columns, value and
+   argmax bit-for-bit) plus a rung-specific probe. The ladder depends on
+   the region count:
 
-   1. Region-wise divide and conquer. The caller may pass [regions] —
-      start positions where seg_value changes branch structure (clamped
-      prefix sums, underflowed exponentials); the D&C re-anchors its
-      candidate range at every region start, so each region only needs
-      the Monge property locally. Probed with seg-only adjacent Monge
-      quadruples: the dp_{b-1} terms cancel exactly in the quadruple, so
-      including them (as the pre-ladder implementation did) only
-      measured floating-point cancellation against numbers many orders
-      of magnitude larger than the segment deltas — the false positive
-      that used to push every big logit layer onto the quadratic row.
+   - One region (CED, linear, unclamped logit): SMAWK, then the exact
+     row. SMAWK needs only total monotonicity — strictly weaker than
+     inverse Monge, exactly what monotone argmaxes need — and computes
+     the layer in O(n) evaluations; probed with sampled
+     strict-hypothesis TM implications on the rounded candidate matrix
+     (what SMAWK actually compares). No Monge probe stands in front of
+     it: the seg-only probe rejects layers whose TM probe and exact
+     columns pass.
 
-   2. SMAWK over the full layer. Total monotonicity is strictly weaker
-      than inverse Monge and is exactly what monotone argmaxes need;
-      probed with sampled strict-hypothesis TM implications on the
-      rounded candidate matrix (what SMAWK actually compares).
+   - Several regions: region-wise divide and conquer, then SMAWK over
+     the full layer, then the exact row. The caller's [regions] are
+     start positions where seg_value changes branch structure (clamped
+     prefix sums, underflowed exponentials); the D&C re-anchors its
+     candidate range at every region start, so each region only needs
+     the Monge property locally. Probed with seg-only adjacent Monge
+     quadruples: the dp_{b-1} terms cancel exactly in the quadruple, so
+     including them only measures floating-point cancellation against
+     numbers many orders of magnitude larger than the segment deltas.
 
-   3. Exact quadratic row — the certified backstop. A structurally
-      hostile seg_value degrades to the quadratic DP rather than to
-      wrong cuts. *)
+   The exact quadratic row is the certified backstop: a structurally
+   hostile seg_value degrades to the quadratic DP rather than to wrong
+   cuts. [samples = 0] turns validation off and takes the D&C
+   unchecked, whatever the region count. *)
 
 type stats = {
   layers : int;
@@ -158,101 +163,140 @@ let dandc_regions ~prev ~cur ~choice_row ~seg ~b ~n ~regions ~jlo0 =
     end
   done
 
+(* SMAWK's working storage, owned by one solve (or one retained state)
+   and grown on demand — never shared, since pool domains solve
+   concurrently. *)
+type scratch = { mutable sm_cols : int array; mutable sm_vals : float array }
+
+let new_scratch () = { sm_cols = [||]; sm_vals = [||] }
+
+let reserve scratch n =
+  if Array.length scratch.sm_cols < 3 * n then begin
+    scratch.sm_cols <- Array.make (3 * n) 0;
+    scratch.sm_vals <- Array.make n 0.
+  end
+
 (* SMAWK over the staircase layer matrix: rows are DP columns [j],
    columns are split candidates [i], entries prev.(i-1) + seg i j with
    the invalid triangle i > j padded to -inf (padding that preserves
    total monotonicity whenever the staircase part has it). Computes the
-   leftmost row maximum of every row in O(rows + cols) evaluations per
-   recursion level; exact precisely when the layer matrix is totally
-   monotone — which the caller's spot-check then certifies. *)
-let smawk_layer ~prev ~cur ~choice_row ~seg ~b ~n =
-  let m j i =
-    if i > j then Float.neg_infinity else fget prev (i - 1) +. seg i j
-  in
-  let rec go rows cols =
-    let nr = Array.length rows in
-    if nr > 0 then begin
-      (* REDUCE: prune to at most [nr] candidates that can still hold
-         some row's leftmost argmax. Pops are strict [>], so a tie keeps
-         the earlier candidate — the quadratic DP's tie-break. *)
-      let cols =
-        if Array.length cols <= nr then cols
-        else begin
-          let stack = Array.make nr 0 in
-          let top = ref 0 in
-          Array.iter
-            (fun c ->
-              while
-                !top > 0
-                && m rows.(!top - 1) c > m rows.(!top - 1) stack.(!top - 1)
-              do
-                decr top
+   leftmost row maximum of every row [j] in [max b jlo0, n) in O(rows +
+   cols) evaluations per recursion level; exact precisely when the
+   layer matrix is totally monotone — which the caller's certificate
+   then checks. A warm suffix ([jlo0 > b]) starts its candidates at the
+   last clean column's stored argmax, the bound monotone argmaxes
+   give.
+
+   Allocation-free: level k's rows are the progression r0 + t * 2^k, so
+   they need no array; the candidate lists live in [scratch.sm_cols] —
+   the level-0 range, then each level's REDUCE output stacked after its
+   input, at most 3n entries — and REDUCE keeps each stack entry's value
+   at its own row in [scratch.sm_vals], so a comparison evaluates only
+   the incoming candidate. *)
+let smawk_layer ~scratch ~prev ~cur ~choice_row ~seg ~b ~n ~jlo0 =
+  let jlo = Stdlib.max b jlo0 in
+  if jlo <= n - 1 then begin
+    let ilo =
+      if jlo - 1 >= b then Stdlib.max (iget choice_row (jlo - 1)) b else b
+    in
+    reserve scratch n;
+    let cols = scratch.sm_cols and vals = scratch.sm_vals in
+    let m j i =
+      if i > j then Float.neg_infinity else fget prev (i - 1) +. seg i j
+    in
+    let ncols = n - ilo in
+    for k = 0 to ncols - 1 do
+      cols.(k) <- ilo + k
+    done;
+    (* Rows [r0 + t * step] for [t < nr]; candidates
+       [cols.(off) .. cols.(off + len - 1)]; [cols.(free ..)] unused. *)
+    let rec go r0 step nr off len free =
+      if nr > 0 then begin
+        (* REDUCE: prune to at most [nr] candidates that can still hold
+           some row's leftmost argmax. Pops are strict [>], so a tie
+           keeps the earlier candidate — the quadratic DP's tie-break.
+           Every entry below the top already has its value cached (the
+           comparison that let the entry above it through computed it);
+           [known] tracks the top's. *)
+        let off, len, free =
+          if len <= nr then (off, len, free)
+          else begin
+            let top = ref 0 and known = ref false in
+            for q = off to off + len - 1 do
+              let c = iget cols q in
+              let popping = ref true in
+              while !popping && !top > 0 do
+                let row = r0 + ((!top - 1) * step) in
+                if not !known then begin
+                  vals.(!top - 1) <- m row (iget cols (free + !top - 1));
+                  known := true
+                end;
+                if m row c > fget vals (!top - 1) then decr top
+                else popping := false
               done;
               if !top < nr then begin
-                stack.(!top) <- c;
-                incr top
-              end)
-            cols;
-          Array.sub stack 0 !top
-        end
-      in
-      if nr = 1 then begin
-        let j = rows.(0) in
-        let best = ref Float.neg_infinity and best_i = ref b in
-        Array.iter
-          (fun c ->
+                cols.(free + !top) <- c;
+                incr top;
+                known := false
+              end
+            done;
+            (free, !top, free + !top)
+          end
+        in
+        if nr = 1 then begin
+          let j = r0 in
+          let best = ref Float.neg_infinity and best_i = ref b in
+          for q = off to off + len - 1 do
+            let c = iget cols q in
             let v = m j c in
             if v > !best then begin
               best := v;
               best_i := c
-            end)
-          cols;
-        cur.(j) <- !best;
-        choice_row.(j) <- !best_i
-      end
-      else begin
-        let odd = Array.init (nr / 2) (fun k -> rows.((2 * k) + 1)) in
-        go odd cols;
-        (* Interpolate the even rows: row rows.(2k)'s leftmost argmax
-           lies between its solved neighbours' argmaxes, so one pointer
-           sweeps [cols] across all even rows. *)
-        let ncols = Array.length cols in
-        let p = ref 0 in
-        let k = ref 0 in
-        while !k < nr do
-          let j = rows.(!k) in
-          let stop =
-            if !k + 1 < nr then choice_row.(rows.(!k + 1))
-            else cols.(ncols - 1)
-          in
-          let best = ref Float.neg_infinity and best_i = ref b in
-          let q = ref !p in
-          let scanning = ref true in
-          while !scanning && !q < ncols do
-            let c = cols.(!q) in
-            if c > stop then scanning := false
-            else begin
-              let v = m j c in
-              if v > !best then begin
-                best := v;
-                best_i := c
-              end;
-              if c = stop then scanning := false else incr q
             end
           done;
           cur.(j) <- !best;
-          choice_row.(j) <- !best_i;
-          while !p + 1 < ncols && cols.(!p) < stop do
-            incr p
-          done;
-          k := !k + 2
-        done
+          choice_row.(j) <- !best_i
+        end
+        else begin
+          go (r0 + step) (2 * step) (nr / 2) off len free;
+          (* Interpolate the even rows: row t's leftmost argmax lies
+             between its solved neighbours' argmaxes, so one pointer
+             sweeps the candidates across all even rows. *)
+          let last = off + len - 1 in
+          let p = ref off in
+          let t = ref 0 in
+          while !t < nr do
+            let j = r0 + (!t * step) in
+            let stop =
+              if !t + 1 < nr then iget choice_row (r0 + ((!t + 1) * step))
+              else iget cols last
+            in
+            let best = ref Float.neg_infinity and best_i = ref b in
+            let q = ref !p in
+            let scanning = ref true in
+            while !scanning && !q <= last do
+              let c = iget cols !q in
+              if c > stop then scanning := false
+              else begin
+                let v = m j c in
+                if v > !best then begin
+                  best := v;
+                  best_i := c
+                end;
+                if c = stop then scanning := false else incr q
+              end
+            done;
+            cur.(j) <- !best;
+            choice_row.(j) <- !best_i;
+            while !p < last && iget cols !p < stop do
+              incr p
+            done;
+            t := !t + 2
+          done
+        end
       end
-    end
-  in
-  if n - 1 >= b then begin
-    let idx = Array.init (n - b) (fun k -> b + k) in
-    go idx idx
+    in
+    go jlo 1 (n - jlo) 0 ncols ncols
   end
 
 (* xorshift64: cheap deterministic sampling, independent of the global
@@ -351,33 +395,70 @@ let tm_valid ~prev ~seg ~b ~n ~samples =
     !ok
   end
 
-(* One layer through the ladder. [samples = 0] disables validation and
-   accepts the region-wise D&C outright (documented contract). *)
-let ladder_layer ~samples ~regions ~smawk_count ~fallback_count ~prev ~cur
-    ~choice_row ~seg ~b ~n =
-  dandc_regions ~prev ~cur ~choice_row ~seg ~b ~n ~regions ~jlo0:0;
-  let dandc_ok =
+(* SMAWK's certificate: the TM probe plus the shared exact columns,
+   over the whole layer. *)
+let smawk_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples =
+  tm_valid ~prev ~seg ~b ~n ~samples
+  && columns_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples
+       ~regions:no_regions
+
+(* Which rung a layer tries first. Single-region layers under
+   validation start on SMAWK: linear evaluations per layer, and no Monge
+   probe in front of it — the seg-only probe rejects layers whose TM
+   probe and exact columns pass. Multi-region layers start on the
+   region-wise D&C, the only rung that re-anchors at region starts;
+   [samples = 0] accepts it unvalidated (documented contract). *)
+let smawk_first ~samples ~regions = samples > 0 && Array.length regions = 1
+
+(* A layer's first rung over columns [max b jlo0, n), and whether its
+   certificate holds. *)
+let first_rung ~scratch ~samples ~regions ~prev ~cur ~choice_row ~seg ~b ~n
+    ~jlo0 =
+  if smawk_first ~samples ~regions then begin
+    smawk_layer ~scratch ~prev ~cur ~choice_row ~seg ~b ~n ~jlo0;
+    smawk_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples
+  end
+  else begin
+    dandc_regions ~prev ~cur ~choice_row ~seg ~b ~n ~regions ~jlo0;
     samples = 0
     || (monge_valid ~seg ~b ~n ~samples ~regions
        && columns_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples ~regions)
-  in
-  if not dandc_ok then begin
-    Array.fill cur 0 n Float.neg_infinity;
-    Array.fill choice_row 0 n 0;
-    smawk_layer ~prev ~cur ~choice_row ~seg ~b ~n;
-    let smawk_ok =
-      tm_valid ~prev ~seg ~b ~n ~samples
-      && columns_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples
-           ~regions:no_regions
-    in
-    if smawk_ok then incr smawk_count
-    else begin
-      incr fallback_count;
-      Array.fill cur 0 n Float.neg_infinity;
-      Array.fill choice_row 0 n 0;
-      exact_layer ~prev ~cur ~choice_row ~seg ~b ~n
-    end
   end
+
+type counts = { mutable smawk : int; mutable fallback : int }
+
+let no_counts () = { smawk = 0; fallback = 0 }
+
+(* One cold layer through the ladder: the first rung; SMAWK over the
+   full layer when the first rung was a rejected D&C; the exact row
+   when every fast rung was rejected. *)
+let ladder_layer ~scratch ~samples ~regions ~counts ~prev ~cur ~choice_row
+    ~seg ~b ~n =
+  let reset () =
+    Array.fill cur 0 n Float.neg_infinity;
+    Array.fill choice_row 0 n 0
+  in
+  let first = smawk_first ~samples ~regions in
+  let rung =
+    if
+      first_rung ~scratch ~samples ~regions ~prev ~cur ~choice_row ~seg ~b ~n
+        ~jlo0:0
+    then if first then `Smawk else `Dandc
+    else if first then `Exact
+    else begin
+      reset ();
+      smawk_layer ~scratch ~prev ~cur ~choice_row ~seg ~b ~n ~jlo0:0;
+      if smawk_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples then `Smawk
+      else `Exact
+    end
+  in
+  match rung with
+  | `Dandc -> ()
+  | `Smawk -> counts.smawk <- counts.smawk + 1
+  | `Exact ->
+      counts.fallback <- counts.fallback + 1;
+      reset ();
+      exact_layer ~prev ~cur ~choice_row ~seg ~b ~n
 
 let traceback ~choice ~best_b ~n =
   let rec go b j acc =
@@ -387,6 +468,15 @@ let traceback ~choice ~best_b ~n =
       go (b - 1) (i - 1) (i :: acc)
   in
   go best_b (n - 1) []
+
+let stats_of ~layers ~counts ~evaluations ~regions =
+  {
+    layers;
+    smawk_layers = counts.smawk;
+    fallback_layers = counts.fallback;
+    evaluations;
+    regions = Array.length regions;
+  }
 
 let finish ~choice ~last ~b_max ~n ~stats =
   (* Smallest argmax over achievable segment counts — the quadratic DP's
@@ -402,7 +492,7 @@ let finish ~choice ~last ~b_max ~n ~stats =
     stats;
   }
 
-let run ~n ~n_bundles ~regions ~smawk_count ~fallback_count ~layer seg_value =
+let run ~n ~n_bundles ~regions ~counts ~layer seg_value =
   validate ~n ~n_bundles;
   check_regions ~n regions;
   let b_max = Stdlib.min n_bundles n in
@@ -427,27 +517,19 @@ let run ~n ~n_bundles ~regions ~smawk_count ~fallback_count ~layer seg_value =
     Array.blit cur 0 prev 0 n
   done;
   finish ~choice ~last ~b_max ~n
-    ~stats:
-      {
-        layers = b_max;
-        smawk_layers = !smawk_count;
-        fallback_layers = !fallback_count;
-        evaluations = !evals;
-        regions = Array.length regions;
-      }
+    ~stats:(stats_of ~layers:b_max ~counts ~evaluations:!evals ~regions)
 
 let solve_quadratic ~n ~n_bundles seg_value =
-  let zero = ref 0 in
-  run ~n ~n_bundles ~regions:no_regions ~smawk_count:zero ~fallback_count:zero
-    seg_value ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
+  run ~n ~n_bundles ~regions:no_regions ~counts:(no_counts ()) seg_value
+    ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
       exact_layer ~prev ~cur ~choice_row ~seg ~b ~n)
 
 let solve ?(samples = 16) ?(regions = no_regions) ~n ~n_bundles seg_value =
-  let smawk_count = ref 0 and fallback_count = ref 0 in
-  run ~n ~n_bundles ~regions ~smawk_count ~fallback_count seg_value
+  let scratch = new_scratch () and counts = no_counts () in
+  run ~n ~n_bundles ~regions ~counts seg_value
     ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
-      ladder_layer ~samples ~regions ~smawk_count ~fallback_count ~prev ~cur
-        ~choice_row ~seg ~b ~n)
+      ladder_layer ~scratch ~samples ~regions ~counts ~prev ~cur ~choice_row
+        ~seg ~b ~n)
 
 (* --- warm start ----------------------------------------------------------- *)
 
@@ -458,12 +540,12 @@ let solve ?(samples = 16) ?(regions = no_regions) ~n ~n_bundles seg_value =
    depends only on [prev] at positions [< j] and on [seg i j] with
    [i <= j], so every column left of the first dirty position is
    untouched by construction, not by assumption. The recomputed suffix
-   runs the region-wise divide-and-conquer with the candidate range
-   inherited from the last clean column's stored argmax (same-region
-   columns only), and every layer is re-validated by the same spot-check
-   [solve] uses; a failed check abandons the warm attempt and re-solves
-   from scratch through the full ladder into the same state, so a warm
-   result can never silently diverge from a cold one. *)
+   runs the layer's first rung — the one a cold layer tries first — with
+   its candidates starting at the last clean column's stored argmax,
+   and every layer is re-validated by that rung's certificate; a failed
+   check abandons the warm attempt and re-solves from scratch through
+   the full ladder into the same state, so a warm result can never
+   silently diverge from a cold one. *)
 
 type state = {
   mutable st_n : int;
@@ -473,12 +555,13 @@ type state = {
   mutable st_choice : int array array;  (* b_max rows; row 0 unused *)
   mutable st_last : float array;  (* dp value of the full prefix per layer *)
   mutable st_regions : int array;  (* region starts of the last solve *)
+  st_scratch : scratch;
 }
 
 (* Fill every layer of [st] from scratch — the same computations as
-   [solve] (the full D&C -> SMAWK -> exact ladder), just written into
-   retained rows instead of a rolling pair. *)
-let fill_state ~samples ~smawk_count ~fallback_count st seg =
+   [solve] (the full ladder), just written into retained rows instead
+   of a rolling pair. *)
+let fill_state ~samples ~counts st seg =
   let n = st.st_n and b_max = st.st_b_max in
   let regions = st.st_regions in
   let dp = st.st_dp and choice = st.st_choice and last = st.st_last in
@@ -490,7 +573,7 @@ let fill_state ~samples ~smawk_count ~fallback_count st seg =
     let prev = dp.(b - 1) and cur = dp.(b) in
     let choice_row = choice.(b) in
     Array.fill cur 0 n Float.neg_infinity;
-    ladder_layer ~samples ~regions ~smawk_count ~fallback_count ~prev ~cur
+    ladder_layer ~scratch:st.st_scratch ~samples ~regions ~counts ~prev ~cur
       ~choice_row ~seg ~b ~n;
     last.(b) <- cur.(n - 1)
   done
@@ -509,31 +592,84 @@ let solve_with_state ?(samples = 16) ?(regions = no_regions) ~n ~n_bundles
       st_choice = Array.make_matrix b_max n 0;
       st_last = Array.make b_max Float.neg_infinity;
       st_regions = regions;
+      st_scratch = new_scratch ();
     }
   in
-  let evals = ref 0 and smawk_count = ref 0 and fallback_count = ref 0 in
+  let evals = ref 0 and counts = no_counts () in
   let seg i j =
     incr evals;
     seg_value i j
   in
-  fill_state ~samples ~smawk_count ~fallback_count st seg;
+  fill_state ~samples ~counts st seg;
   ( finish ~choice:st.st_choice ~last:st.st_last ~b_max ~n
-      ~stats:
-        {
-          layers = b_max;
-          smawk_layers = !smawk_count;
-          fallback_layers = !fallback_count;
-          evaluations = !evals;
-          regions = Array.length regions;
-        },
+      ~stats:(stats_of ~layers:b_max ~counts ~evaluations:!evals ~regions),
     st )
 
 let state_n st = st.st_n
 let state_n_bundles st = st.st_n_bundles
 
+(* The retained optimum, replayed with zero evaluations. *)
+let replay st =
+  ( finish ~choice:st.st_choice ~last:st.st_last ~b_max:st.st_b_max ~n:st.st_n
+      ~stats:
+        (stats_of ~layers:0 ~counts:(no_counts ()) ~evaluations:0
+           ~regions:st.st_regions),
+    `Warm )
+
+(* Recompute columns [d, n) of every layer through the layer's first
+   rung, each layer certified as a cold first rung is; [false] as soon
+   as one certificate fails. Layers beyond a smaller retained [b_max]
+   (the instance grew past a tiny old size) have no retained prefix;
+   [max b d] starts them at their first real column anyway because
+   [d <= old_n <= b] there. *)
+let warm_suffix ~samples ~counts st seg ~d =
+  let n = st.st_n and regions = st.st_regions in
+  let dp = st.st_dp and choice = st.st_choice and last = st.st_last in
+  for j = d to n - 1 do
+    dp.(0).(j) <- seg 0 j
+  done;
+  last.(0) <- dp.(0).(n - 1);
+  let ok = ref true and b = ref 1 in
+  while !ok && !b < st.st_b_max do
+    let b' = !b in
+    ok :=
+      first_rung ~scratch:st.st_scratch ~samples ~regions ~prev:dp.(b' - 1)
+        ~cur:dp.(b') ~choice_row:choice.(b') ~seg ~b:b' ~n
+        ~jlo0:(Stdlib.max b' d);
+    if !ok && smawk_first ~samples ~regions then counts.smawk <- counts.smawk + 1;
+    last.(b') <- dp.(b').(n - 1);
+    incr b
+  done;
+  !ok
+
+(* The warm attempt from dirty column [d], and the full cold fill into
+   the same state when it diverges (or a drill forces it). The warm
+   attempt's evaluations stay in the bill — they were really spent. *)
+let resolve ~samples ~force_fallback st ~d seg_value =
+  let evals = ref 0 in
+  let seg i j =
+    incr evals;
+    seg_value i j
+  in
+  let warm = no_counts () in
+  let how, counts =
+    if (not force_fallback) && warm_suffix ~samples ~counts:warm st seg ~d then
+      (`Warm, warm)
+    else begin
+      let counts = no_counts () in
+      fill_state ~samples ~counts st seg;
+      (`Cold, counts)
+    end
+  in
+  ( finish ~choice:st.st_choice ~last:st.st_last ~b_max:st.st_b_max ~n:st.st_n
+      ~stats:
+        (stats_of ~layers:st.st_b_max ~counts ~evaluations:!evals
+           ~regions:st.st_regions),
+    how )
+
 let solve_warm ?(samples = 16) ?regions ?(force_fallback = false) st
     ~dirty_from seg_value =
-  let n = st.st_n and b_max = st.st_b_max in
+  let n = st.st_n in
   if dirty_from < 0 || dirty_from > n then
     invalid_arg "Segdp.solve_warm: dirty_from out of [0, n]";
   (match regions with
@@ -541,79 +677,10 @@ let solve_warm ?(samples = 16) ?regions ?(force_fallback = false) st
       check_regions ~n r;
       st.st_regions <- r
   | None -> ());
-  let regions = st.st_regions in
-  let nregions = Array.length regions in
-  if dirty_from = n && not force_fallback then
-    (* Nothing changed: replay the traceback from the retained state. *)
-    ( finish ~choice:st.st_choice ~last:st.st_last ~b_max ~n
-        ~stats:
-          {
-            layers = 0;
-            smawk_layers = 0;
-            fallback_layers = 0;
-            evaluations = 0;
-            regions = nregions;
-          },
-      `Warm )
-  else begin
-    let evals = ref 0 in
-    let seg i j =
-      incr evals;
-      seg_value i j
-    in
-    let d = Stdlib.min dirty_from (n - 1) in
-    let dp = st.st_dp and choice = st.st_choice and last = st.st_last in
-    let ok = ref (not force_fallback) in
-    if !ok then begin
-      for j = d to n - 1 do
-        dp.(0).(j) <- seg 0 j
-      done;
-      last.(0) <- dp.(0).(n - 1);
-      let b = ref 1 in
-      while !ok && !b < b_max do
-        let b' = !b in
-        let prev = dp.(b' - 1) and cur = dp.(b') in
-        let choice_row = choice.(b') in
-        let jlo = Stdlib.max b' d in
-        dandc_regions ~prev ~cur ~choice_row ~seg ~b:b' ~n ~regions ~jlo0:jlo;
-        ok :=
-          monge_valid ~seg ~b:b' ~n ~samples ~regions
-          && columns_valid ~prev ~cur ~choice_row ~seg ~b:b' ~n ~samples
-               ~regions;
-        last.(b') <- cur.(n - 1);
-        incr b
-      done
-    end;
-    if !ok then
-      ( finish ~choice ~last ~b_max ~n
-          ~stats:
-            {
-              layers = b_max;
-              smawk_layers = 0;
-              fallback_layers = 0;
-              evaluations = !evals;
-              regions = nregions;
-            },
-        `Warm )
-    else begin
-      (* Divergence (or a forced drill): recompute every layer from
-         scratch through the ladder into the same state. The warm
-         attempt's evaluations stay in the bill — they were really
-         spent. *)
-      let smawk_count = ref 0 and fallback_count = ref 0 in
-      fill_state ~samples ~smawk_count ~fallback_count st seg;
-      ( finish ~choice ~last ~b_max ~n
-          ~stats:
-            {
-              layers = b_max;
-              smawk_layers = !smawk_count;
-              fallback_layers = !fallback_count;
-              evaluations = !evals;
-              regions = nregions;
-            },
-        `Cold )
-    end
-  end
+  if dirty_from = n && not force_fallback then replay st
+  else
+    resolve ~samples ~force_fallback st ~d:(Stdlib.min dirty_from (n - 1))
+      seg_value
 
 (* --- structural deltas ---------------------------------------------------- *)
 
@@ -626,7 +693,7 @@ let solve_warm ?(samples = 16) ?regions ?(force_fallback = false) st
    layer depends only on positions [<= j], so a prefix that is
    bitwise-identical as an {e instance} has bitwise-identical columns.
    The suffix recompute is exactly [solve_warm]'s, with the same
-   per-layer spot-checks; any failure falls back to a full cold fill
+   per-layer certificates; any failure falls back to a full cold fill
    into the (already resized) state. *)
 let solve_structural ?(samples = 16) ?regions ?(force_fallback = false) st ~n
     ~dirty_from seg_value =
@@ -652,7 +719,6 @@ let solve_structural ?(samples = 16) ?regions ?(force_fallback = false) st ~n
     let old_dp = st.st_dp and old_choice = st.st_choice in
     let dp = Array.make_matrix b_max n Float.neg_infinity in
     let choice = Array.make_matrix b_max n 0 in
-    let last = Array.make b_max Float.neg_infinity in
     for b = 0 to Stdlib.min b_max old_b_max - 1 do
       Array.blit old_dp.(b) 0 dp.(b) 0 d;
       Array.blit old_choice.(b) 0 choice.(b) 0 d
@@ -661,74 +727,18 @@ let solve_structural ?(samples = 16) ?regions ?(force_fallback = false) st ~n
     st.st_b_max <- b_max;
     st.st_dp <- dp;
     st.st_choice <- choice;
-    st.st_last <- last;
-    let regions = st.st_regions in
-    let nregions = Array.length regions in
-    let evals = ref 0 in
-    let seg i j =
-      incr evals;
-      seg_value i j
-    in
-    let ok = ref (not force_fallback) in
-    if !ok then
-      if d = n then
-        (* Pure truncation (departures off the tail): every retained
-           column is still exact; only the per-layer totals move to the
-           new final column. Zero evaluations, like an unchanged
-           replay. *)
-        for b = 0 to b_max - 1 do
-          last.(b) <- dp.(b).(n - 1)
-        done
-      else begin
-        for j = d to n - 1 do
-          dp.(0).(j) <- seg 0 j
-        done;
-        last.(0) <- dp.(0).(n - 1);
-        let b = ref 1 in
-        while !ok && !b < b_max do
-          let b' = !b in
-          let prev = dp.(b' - 1) and cur = dp.(b') in
-          let choice_row = choice.(b') in
-          (* Layers beyond the old [b_max] (the instance grew past a
-             tiny old size) have no retained prefix; [max b' d] starts
-             them at their first real column anyway because
-             [d <= old_n <= b'] there. *)
-          let jlo = Stdlib.max b' d in
-          dandc_regions ~prev ~cur ~choice_row ~seg ~b:b' ~n ~regions
-            ~jlo0:jlo;
-          ok :=
-            monge_valid ~seg ~b:b' ~n ~samples ~regions
-            && columns_valid ~prev ~cur ~choice_row ~seg ~b:b' ~n ~samples
-                 ~regions;
-          last.(b') <- cur.(n - 1);
-          incr b
-        done
-      end;
-    if !ok then
-      ( finish ~choice ~last ~b_max ~n
-          ~stats:
-            {
-              layers = (if d = n then 0 else b_max);
-              smawk_layers = 0;
-              fallback_layers = 0;
-              evaluations = !evals;
-              regions = nregions;
-            },
-        `Warm )
-    else begin
-      let smawk_count = ref 0 and fallback_count = ref 0 in
-      fill_state ~samples ~smawk_count ~fallback_count st seg;
-      ( finish ~choice ~last ~b_max ~n
-          ~stats:
-            {
-              layers = b_max;
-              smawk_layers = !smawk_count;
-              fallback_layers = !fallback_count;
-              evaluations = !evals;
-              regions = nregions;
-            },
-        `Cold )
+    st.st_last <- Array.make b_max Float.neg_infinity;
+    if d = n && not force_fallback then begin
+      (* Pure truncation (departures off the tail): every retained
+         column is still exact; only the per-layer totals move to the
+         new final column. Zero evaluations, like an unchanged
+         replay. *)
+      for b = 0 to b_max - 1 do
+        st.st_last.(b) <- dp.(b).(n - 1)
+      done;
+      replay st
     end
+    else resolve ~samples ~force_fallback st ~d seg_value
   end
 
 let verify_columns ?(samples = 64) st seg_value =

@@ -8,22 +8,28 @@
     All solvers share the quadratic DP's exact semantics: ties inside a
     column break toward the smallest split index, and ties across
     segment counts break toward the fewest segments (strict [>]
-    updates). [solve] computes each layer through a three-rung ladder,
+    updates). [solve] computes each layer through a ladder of rungs,
     every rung certified by an exact re-solve of sampled columns (value
     and argmax bit-for-bit):
 
-    + region-wise monotone-decision divide and conquer — O(b n log n)
-      evaluations when each region's layer matrix is inverse Monge,
-      which the closed-form CED/linear/logit segment profits are
-      (piecewise, once clamped/underflowed prefix ranges are split out
-      via [regions]); probed with seg-only adjacent Monge quadruples;
     + SMAWK over the full layer — total monotonicity is strictly weaker
-      than inverse Monge and still gives exact leftmost argmaxes in
-      O(n) evaluations per recursion level; probed with sampled
-      strict-hypothesis TM implications;
+      than inverse Monge and still gives exact leftmost argmaxes, in
+      O(n) evaluations per layer; probed with sampled strict-hypothesis
+      TM implications. The first rung of every single-region layer
+      (one region: the closed-form CED, linear and unclamped logit
+      segment profits), and the second of a multi-region one;
+    + region-wise monotone-decision divide and conquer — O(n log n)
+      evaluations per layer when each region's layer matrix is inverse
+      Monge, which the logit segment profit is piecewise once
+      clamped/underflowed prefix ranges are split out via [regions];
+      probed with seg-only adjacent Monge quadruples. The first rung of
+      a multi-region layer, since it alone re-anchors at region starts;
     + the exact quadratic row as a last-resort certified backstop, so a
       structurally hostile [seg_value] degrades to quadratic time, not
       to different cuts.
+
+    SMAWK runs in scratch sized once per solve (or per retained
+    {!state}), so a layer allocates nothing.
 
     The regression suite pins [solve = solve_quadratic] cut-for-cut on
     random markets of every demand spec and on an adversarial corpus of
@@ -32,8 +38,8 @@
 type stats = {
   layers : int;  (** DP layers computed, including the base layer. *)
   smawk_layers : int;
-      (** Layers that failed the Monge spot-check but were accepted on
-          the SMAWK rung ([0] for [solve_quadratic]). *)
+      (** Layers accepted on the SMAWK rung, first rung or second ([0]
+          for [solve_quadratic]). *)
   fallback_layers : int;
       (** Layers that exhausted both fast rungs and were recomputed with
           the exact quadratic row ([solve] only; always [0] for
@@ -67,7 +73,8 @@ val solve :
   n_bundles:int ->
   (int -> int -> float) ->
   result
-(** Ladder solver (region-wise D&C, then SMAWK, then exact fallback);
+(** Ladder solver (SMAWK, then exact fallback, on a single region;
+    region-wise D&C, then SMAWK, then exact fallback, on several);
     cut-for-cut identical to [solve_quadratic] on every input whose
     hostile structure the spot-checks detect — and the checks fail
     toward the backstop, NaN included. [samples] bounds the exact column
@@ -88,9 +95,11 @@ val solve :
     matrices; [solve_warm] then recomputes only the dirty column suffix
     of every layer — columns left of [dirty_from] are provably
     untouched, because column [j] depends only on positions [<= j] —
-    re-validating each layer with the same spot-check [solve] runs and
-    re-solving everything from scratch (through the full ladder) when a
-    check trips. A warm result is therefore always cut-for-cut what the
+    on the layer's first rung (SMAWK on a single region), with its
+    candidates starting at the last clean column's argmax. Each layer
+    is re-validated with the certificate [solve] runs on that rung, and
+    everything is re-solved from scratch (through the full ladder) when
+    a check trips. A warm result is therefore always cut-for-cut what the
     cold solver would have returned on the same inputs. *)
 
 type state

@@ -34,22 +34,11 @@ let before_first =
 
 let make source = { source; cur = before_first; shift = 0 }
 
+(* Stable, so router duplicates of the same window arrive in synthesis
+   order and the streaming dedup's first-observation-wins choice is
+   deterministic. *)
 let sort_by_first records =
-  let a = Array.of_list records in
-  let n = Array.length a in
-  (* Stable order: first_s, then original emission index, so router
-     duplicates of the same window arrive in synthesis order and the
-     streaming dedup's first-observation-wins choice is deterministic. *)
-  let idx = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      match
-        Int.compare a.(i).Flowgen.Netflow.first_s a.(j).Flowgen.Netflow.first_s
-      with
-      | 0 -> Int.compare i j
-      | c -> c)
-    idx;
-  Array.map (fun i -> a.(i)) idx
+  Array.of_list (Flowgen.Netflow.in_time_order records)
 
 let of_records records =
   make (Replay { template = sort_by_first records; days = 1; day = 0; pos = 0 })

@@ -20,8 +20,9 @@
 type t
 
 val of_records : Flowgen.Netflow.record list -> t
-(** Sorts by [first_s] (stable, so router duplicates keep their
-    emission order and streaming dedup stays deterministic). *)
+(** Sorts by [first_s] through {!Flowgen.Netflow.in_time_order} (stable,
+    so router duplicates keep their emission order and streaming dedup
+    stays deterministic). *)
 
 val of_sequence : Flowgen.Netflow.record list -> t
 (** Yields the records verbatim, in the given order — including orders

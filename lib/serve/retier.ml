@@ -46,13 +46,19 @@ type sig_entry = { g_cost : float; g_q : float; g_uid : int }
 
 type solved = { s_cuts : int list; s_prices : float array; s_profit : float }
 
+(* The frozen calibration and the retained cost order. Every cost
+   model prices static flow attributes (distance, locality, identity),
+   never demand, so a flow's frozen absolute cost is a per-flow
+   constant: each priced flow keeps it, and all of them stay sorted by
+   (cost, flow id). A window's (cost, id) order is then a presence scan
+   over that order; a never-seen flow is sorted alone and merged in. *)
 type calib = {
   gamma : float;
   rel_cost : Flow.t -> float;
-  costs : (int, float) Hashtbl.t;
-      (* flow id -> gamma * rel_cost, memoized: every cost model prices
-         static flow attributes (distance, locality, identity), never
-         demand, so the frozen absolute cost is a constant per flow. *)
+  mutable cost : float array;  (* window uid -> gamma * rel_cost *)
+  mutable rank : int array;  (* window uid -> index in [sorted]; -1 unpriced *)
+  mutable sorted : int array;  (* every priced uid, by (cost, id, uid) *)
+  mutable slot : int array;  (* rank -> window index; -1 between scans *)
 }
 
 type t = {
@@ -126,14 +132,20 @@ let flow_of_meta m ~mbps =
   Flow.make ~locality:m.m_locality ~on_net:m.m_on_net ~id:m.m_id
     ~demand_mbps:mbps ~distance_miles:m.m_distance_miles ()
 
+(* [a] itself when it holds [len] entries, else a copy padded with
+   [fill] to at least [len] (doubling, so growth is amortized O(1)). *)
+let grow a len fill =
+  let old = Array.length a in
+  if len <= old then a
+  else begin
+    let g = Array.make (max len (2 * old)) fill in
+    Array.blit a 0 g 0 old;
+    g
+  end
+
 let meta_for t (fr : Window.flow_rate) =
   let uid = fr.Window.f_uid in
-  let len = Array.length t.meta_memo in
-  if uid >= len then begin
-    let grown = Array.make (max (2 * len) (uid + 1)) None in
-    Array.blit t.meta_memo 0 grown 0 len;
-    t.meta_memo <- grown
-  end;
+  t.meta_memo <- grow t.meta_memo (uid + 1) None;
   match t.meta_memo.(uid) with
   | Some m -> m
   | None ->
@@ -142,30 +154,38 @@ let meta_for t (fr : Window.flow_rate) =
       m
 
 (* Join a snapshot against the metadata oracle. Returns the priceable
-   flows' metadata and demands (in snapshot order) and the count of
+   flows' window uids and demands (in snapshot order) and the count of
    rates with no metadata. *)
 let join t (snap : Window.snapshot) =
-  let skipped = ref 0 in
-  let pairs =
-    Array.to_list snap.Window.s_flows
-    |> List.filter_map (fun (fr : Window.flow_rate) ->
-           match meta_for t fr with
-           | Some m -> Some (m, fr.Window.f_mbps)
-           | None ->
-               incr skipped;
-               None)
-  in
-  ( Array.of_list (List.map fst pairs),
-    Array.of_list (List.map snd pairs),
-    !skipped )
+  let flows = snap.Window.s_flows in
+  let len = Array.length flows in
+  let uids = Array.make len 0 and qs = Array.make len 0. in
+  let n = ref 0 in
+  Array.iter
+    (fun (fr : Window.flow_rate) ->
+      if Option.is_some (meta_for t fr) then begin
+        uids.(!n) <- fr.Window.f_uid;
+        qs.(!n) <- fr.Window.f_mbps;
+        incr n
+      end)
+    flows;
+  let n = !n in
+  if n = len then (uids, qs, 0)
+  else (Array.sub uids 0 n, Array.sub qs 0 n, len - n)
 
-let ensure_calibrated t metas qs =
+(* Metadata of a uid [join] kept. *)
+let meta t uid =
+  match t.meta_memo.(uid) with
+  | Some (Some m) -> m
+  | Some None | None -> invalid_arg "Serve.Retier: uid without metadata"
+
+let ensure_calibrated t uids qs =
   match t.calib with
   | Some c -> c
   | None ->
       let flows =
-        Array.init (Array.length metas) (fun i ->
-            flow_of_meta metas.(i) ~mbps:qs.(i))
+        Array.init (Array.length uids) (fun i ->
+            flow_of_meta (meta t uids.(i)) ~mbps:qs.(i))
       in
       let m0 =
         Market.fit ~spec:t.params.spec ~alpha:t.params.alpha ~p0:t.params.p0
@@ -175,49 +195,106 @@ let ensure_calibrated t metas qs =
         {
           gamma = m0.Market.gamma;
           rel_cost = Tiered.Cost_model.freeze t.params.cost_model flows;
-          costs = Hashtbl.create 4096;
+          cost = [||];
+          rank = [||];
+          sorted = [||];
+          slot = [||];
         }
       in
       t.calib <- Some c;
       c
 
-let cost_of calib m ~q =
-  match Hashtbl.find_opt calib.costs m.m_id with
-  | Some c -> c
-  | None ->
-      let c = calib.gamma *. calib.rel_cost (flow_of_meta m ~mbps:q) in
-      Hashtbl.add calib.costs m.m_id c;
-      c
+(* The retained order's key: (cost, flow id), then uid for uids that
+   share a flow id. *)
+let by_key t c a b =
+  match Float.compare c.cost.(a) c.cost.(b) with
+  | 0 -> (
+      match Int.compare (meta t a).m_id (meta t b).m_id with
+      | 0 -> Int.compare a b
+      | k -> k)
+  | k -> k
 
-(* The cheap per-window pass: absolute costs off the memo, the sort by
-   (cost, id) that makes [Strategy.dp_inputs]'s cost order the identity,
-   and the signature. Valuations and the market itself are *not* built
-   here — an unchanged window stops after comparing signatures. *)
-let inputs_of t metas qs =
-  let calib = ensure_calibrated t metas qs in
-  let n = Array.length metas in
-  let cost = Array.init n (fun i -> cost_of calib metas.(i) ~q:qs.(i)) in
-  let perm = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      match Float.compare cost.(i) cost.(j) with
-      | 0 -> Int.compare metas.(i).m_id metas.(j).m_id
-      | c -> c)
-    perm;
-  let costs = Array.map (fun i -> cost.(i)) perm in
+(* Price never-seen flows, sort them alone and merge them into the
+   retained order: O(known + fresh log fresh), no re-sort of the known
+   flows. *)
+let admit t c uids qs =
+  let fresh = ref [] in
+  Array.iteri
+    (fun i uid ->
+      c.rank <- grow c.rank (uid + 1) (-1);
+      if c.rank.(uid) < 0 then begin
+        c.cost <- grow c.cost (uid + 1) Float.nan;
+        c.cost.(uid) <-
+          c.gamma *. c.rel_cost (flow_of_meta (meta t uid) ~mbps:qs.(i));
+        (* Priced; the merge below ranks it. *)
+        c.rank.(uid) <- max_int;
+        fresh := uid :: !fresh
+      end)
+    uids;
+  if !fresh <> [] then begin
+    let fresh = Array.of_list !fresh in
+    Array.sort (by_key t c) fresh;
+    let known = c.sorted in
+    let nk = Array.length known and nf = Array.length fresh in
+    let sorted = Array.make (nk + nf) 0 in
+    let a = ref 0 and b = ref 0 in
+    for r = 0 to nk + nf - 1 do
+      let from_known =
+        !b >= nf || (!a < nk && by_key t c known.(!a) fresh.(!b) < 0)
+      in
+      let uid =
+        if from_known then begin
+          incr a;
+          known.(!a - 1)
+        end
+        else begin
+          incr b;
+          fresh.(!b - 1)
+        end
+      in
+      sorted.(r) <- uid;
+      c.rank.(uid) <- r
+    done;
+    c.sorted <- sorted;
+    c.slot <- Array.make (nk + nf) (-1)
+  end
+
+(* The cheap per-window pass: absolute costs off the retained order, the
+   window's (cost, id) order that makes [Strategy.dp_inputs]'s cost
+   order the identity — a presence scan, O(priced flows + n) — and the
+   signature. Valuations and the market itself are *not* built here —
+   an unchanged window stops after comparing signatures. *)
+let inputs_of t uids qs =
+  let c = ensure_calibrated t uids qs in
+  admit t c uids qs;
+  let n = Array.length uids in
+  Array.iteri (fun i uid -> c.slot.(c.rank.(uid)) <- i) uids;
+  let perm = Array.make n 0 in
+  let p = ref 0 in
+  Array.iteri
+    (fun r i ->
+      if i >= 0 then begin
+        perm.(!p) <- i;
+        incr p;
+        c.slot.(r) <- -1
+      end)
+    c.slot;
+  let costs = Array.map (fun i -> c.cost.(uids.(i))) perm in
   let signature =
     Array.init n (fun p ->
         let i = perm.(p) in
-        { g_cost = costs.(p); g_q = qs.(i); g_uid = metas.(i).m_id })
+        { g_cost = costs.(p); g_q = qs.(i); g_uid = (meta t uids.(i)).m_id })
   in
   (perm, costs, signature)
 
 (* Rebuild the window's market from the frozen calibration: valuations
    track the demands (per-flow closed form under CED, global inversion
    under logit) over the flows in [inputs_of]'s (cost, id) order. *)
-let market_of t metas qs perm costs =
+let market_of t uids qs perm costs =
   let { spec; alpha; p0; _ } = t.params in
-  let sorted = Array.map (fun i -> flow_of_meta metas.(i) ~mbps:qs.(i)) perm in
+  let sorted =
+    Array.map (fun i -> flow_of_meta (meta t uids.(i)) ~mbps:qs.(i)) perm
+  in
   let valuations, k =
     match spec with
     | Market.Ced ->
@@ -267,8 +344,7 @@ let dirty_from t signature =
   | Market.Logit _ -> if n_old = n && !d = n then n else 0
   | Market.Linear _ -> assert false
 
-let priced market (r : Numerics.Segdp.result) =
-  let order, _, _ = Tiered.Strategy.dp_inputs market in
+let priced market order (r : Numerics.Segdp.result) =
   let bundles = Tiered.Bundle.contiguous ~order ~cuts:r.Numerics.Segdp.cuts in
   let outcome = Tiered.Pricing.evaluate market bundles in
   {
@@ -289,11 +365,11 @@ let cache_key t signature =
     Array.map (fun g -> (g.g_cost, g.g_q, g.g_uid)) signature )
 
 let retier t (snap : Window.snapshot) =
-  let metas, qs, skipped = join t snap in
-  let n = Array.length metas in
+  let uids, qs, skipped = join t snap in
+  let n = Array.length uids in
   if n = 0 then empty_outcome ~bin:snap.Window.s_bin ~skipped
   else begin
-    let perm, costs, signature = inputs_of t metas qs in
+    let perm, costs, signature = inputs_of t uids qs in
     let solve = ref `Cached in
     let dirty = ref n in
     let evals = ref 0 in
@@ -332,8 +408,8 @@ let retier t (snap : Window.snapshot) =
           s
       | None ->
           t.solves <- t.solves + 1;
-          let market = market_of t metas qs perm costs in
-          let _, seg_value, regions = Tiered.Strategy.dp_inputs market in
+          let market = market_of t uids qs perm costs in
+          let order, seg_value, regions = Tiered.Strategy.dp_inputs market in
           let result, tag =
             match t.dp with
             | Some st ->
@@ -377,7 +453,7 @@ let retier t (snap : Window.snapshot) =
             force
             || result.Numerics.Segdp.stats.Numerics.Segdp.fallback_layers > 0;
           t.dp_sig <- signature;
-          let s = priced market result in
+          let s = priced market order result in
           t.last <- Some s;
           s
     in
@@ -402,18 +478,18 @@ let retier t (snap : Window.snapshot) =
   end
 
 let solve_cold t (snap : Window.snapshot) =
-  let metas, qs, skipped = join t snap in
-  let n = Array.length metas in
+  let uids, qs, skipped = join t snap in
+  let n = Array.length uids in
   if n = 0 then empty_outcome ~bin:snap.Window.s_bin ~skipped
   else begin
-    let perm, costs, _ = inputs_of t metas qs in
-    let market = market_of t metas qs perm costs in
-    let _, seg_value, regions = Tiered.Strategy.dp_inputs market in
+    let perm, costs, _ = inputs_of t uids qs in
+    let market = market_of t uids qs perm costs in
+    let order, seg_value, regions = Tiered.Strategy.dp_inputs market in
     let r =
       Numerics.Segdp.solve ~samples:t.params.samples ~regions ~n
         ~n_bundles:t.params.n_bundles seg_value
     in
-    let s = priced market r in
+    let s = priced market order r in
     {
       o_bin = snap.Window.s_bin;
       o_n_flows = n;

@@ -300,6 +300,47 @@ let test_warm_suffix_matches_cold () =
     (warm.Numerics.Segdp.stats.Numerics.Segdp.evaluations
     < cold.Numerics.Segdp.stats.Numerics.Segdp.evaluations)
 
+let test_warm_smawk_suffix () =
+  (* A single-region warm suffix recomputes on the SMAWK rung, every
+     layer, from the last clean column's argmax — exact, and cheaper
+     than the cold solve it replaces. *)
+  let n = 2000 and n_bundles = 6 and d = 1500 in
+  let w = base_weights n in
+  let _, st = Numerics.Segdp.solve_with_state ~n ~n_bundles (seg_of_weights w) in
+  for i = d to n - 1 do
+    w.(i) <- w.(i) +. 1.5
+  done;
+  let seg = seg_of_weights w in
+  let warm, how = Numerics.Segdp.solve_warm st ~dirty_from:d seg in
+  Alcotest.(check bool) "warm path" true (how = `Warm);
+  Alcotest.(check int) "every layer on smawk" (n_bundles - 1)
+    warm.Numerics.Segdp.stats.Numerics.Segdp.smawk_layers;
+  check_same "warm smawk = quadratic" warm
+    (Numerics.Segdp.solve_quadratic ~n ~n_bundles seg);
+  let cold = Numerics.Segdp.solve ~n ~n_bundles seg in
+  Alcotest.(check bool) "suffix cheaper than cold" true
+    (warm.Numerics.Segdp.stats.Numerics.Segdp.evaluations
+    < cold.Numerics.Segdp.stats.Numerics.Segdp.evaluations)
+
+let test_cold_smawk_first () =
+  (* CED and linear layers are single-region: each one runs on SMAWK
+     (no D&C, no backstop) and the solve is still the quadratic DP's,
+     bit for bit. *)
+  List.iter
+    (fun (name, spec) ->
+      let m = Experiment.market ~spec "eu_isp@2000" in
+      let _order, seg_value, regions = Strategy.dp_inputs m in
+      let n = Market.n_flows m and n_bundles = 4 in
+      let fast = Numerics.Segdp.solve ~regions ~n ~n_bundles seg_value in
+      Alcotest.(check int) (name ^ " one region") 1 (Array.length regions);
+      Alcotest.(check int) (name ^ " smawk on every layer") (n_bundles - 1)
+        fast.Numerics.Segdp.stats.Numerics.Segdp.smawk_layers;
+      Alcotest.(check int) (name ^ " no backstop") 0
+        fast.Numerics.Segdp.stats.Numerics.Segdp.fallback_layers;
+      check_same name fast
+        (Numerics.Segdp.solve_quadratic ~n ~n_bundles seg_value))
+    [ ("ced", Market.Ced); ("linear", Market.Linear { epsilon = 1.8 }) ]
+
 let test_warm_dirty_zero_full_recompute () =
   let n = 60 and n_bundles = 5 in
   let w = base_weights n in
@@ -573,6 +614,8 @@ let suite =
     Alcotest.test_case "structural divergence falls back" `Quick
       test_structural_divergence_falls_back;
     Alcotest.test_case "structural validation" `Quick test_structural_validation;
+    Alcotest.test_case "warm suffix on smawk" `Quick test_warm_smawk_suffix;
+    Alcotest.test_case "cold ced/linear smawk first" `Quick test_cold_smawk_first;
     QCheck_alcotest.to_alcotest prop_structural_churn;
     QCheck_alcotest.to_alcotest (prop_cuts_equal "ced" `Ced);
     QCheck_alcotest.to_alcotest (prop_cuts_equal "logit" `Logit);

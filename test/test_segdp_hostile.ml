@@ -153,17 +153,17 @@ let test_nan_adjacent_plateau () =
 (* --- plateaus and degenerate shapes ------------------------------------- *)
 
 let test_constant_rows () =
-  (* Identically-zero seg_value: every partition ties at 0 and every
-     quadruple holds with equality, so the D&C rung must keep the
-     layer, and the strict-[>] tie-breaks must keep the single
-     segment. *)
+  (* Identically-zero seg_value: every partition ties at 0 and the
+     matrix is trivially totally monotone, so the SMAWK rung (first on
+     a single-region layer) must keep every layer, and the strict-[>]
+     tie-breaks must keep the single segment. *)
   let seg _ _ = 0. in
   let fast = Numerics.Segdp.solve ~n:64 ~n_bundles:5 seg in
   check_same "constant" fast (Numerics.Segdp.solve_quadratic ~n:64 ~n_bundles:5 seg);
   Alcotest.check cuts_testable "single segment" [] fast.Numerics.Segdp.cuts;
-  Alcotest.(check int) "pure d&c (no smawk)" 0
+  Alcotest.(check int) "smawk on every layer" 4
     (stats fast).Numerics.Segdp.smawk_layers;
-  Alcotest.(check int) "pure d&c (no backstop)" 0
+  Alcotest.(check int) "no backstop" 0
     (stats fast).Numerics.Segdp.fallback_layers;
   Alcotest.(check int) "undecomposed" 1 (stats fast).Numerics.Segdp.regions
 

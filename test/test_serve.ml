@@ -562,6 +562,82 @@ let test_retier_flow_churn () =
   Alcotest.(check bool) "arrival warm-starts" true (o.Retier.o_solve = `Warm);
   check_matches_cold t snap o
 
+let test_retier_arrival_cost_tie () =
+  (* A never-seen flow whose frozen cost falls between two known flows'
+     and ties a third's: it enters the retained cost order by (cost,
+     id), ahead of the tied flow with the larger id, so the clean
+     prefix is exactly the one cheaper flow — and the posted tiers are
+     still the from-scratch ones. *)
+  let metas =
+    [|
+      (0, 100.); (1, 500.); (3, 300.); (4, 700.); (5, 900.);
+      (* the late arrival: id 2, distance (hence cost) of id 3 *)
+      (2, 300.);
+    |]
+  in
+  let meta_of src dst =
+    let s = Flowgen.Ipv4.to_int src and d = Flowgen.Ipv4.to_int dst in
+    if s >= 1 && s <= Array.length metas && d = 100 + s then
+      let id, miles = metas.(s - 1) in
+      Some
+        {
+          Retier.m_id = id;
+          m_distance_miles = miles;
+          m_locality = Tiered.Flow.International;
+          m_on_net = false;
+        }
+    else None
+  in
+  let t = Retier.create (rparams ~n_bundles:3 ()) ~meta_of in
+  let demands = [ 40.; 25.; 9.; 31.; 5. ] in
+  ignore (Retier.retier t (snap_of demands));
+  let snap = snap_of ~bin:1 (demands @ [ 17. ]) in
+  let o = Retier.retier t snap in
+  Alcotest.(check int) "arrival priced" 6 o.Retier.o_n_flows;
+  Alcotest.(check bool) "arrival warm-starts" true (o.Retier.o_solve = `Warm);
+  Alcotest.(check int) "clean prefix = the one cheaper flow" 1
+    o.Retier.o_dirty_from;
+  check_matches_cold t snap o
+
+let test_retier_arrivals_merge () =
+  (* Never-seen flows at several costs — tying a known flow, between
+     known flows, above all of them — are merged into the retained cost
+     order, not appended: a later demand change at the 700-mile flow
+     dirties exactly its (cost, id) position among all eight. *)
+  let metas =
+    [|
+      (0, 100.); (1, 500.); (3, 300.); (4, 700.); (5, 900.);
+      (* arrivals *)
+      (2, 300.); (6, 600.); (7, 1000.);
+    |]
+  in
+  let meta_of src dst =
+    let s = Flowgen.Ipv4.to_int src and d = Flowgen.Ipv4.to_int dst in
+    if s >= 1 && s <= Array.length metas && d = 100 + s then
+      let id, miles = metas.(s - 1) in
+      Some
+        {
+          Retier.m_id = id;
+          m_distance_miles = miles;
+          m_locality = Tiered.Flow.International;
+          m_on_net = false;
+        }
+    else None
+  in
+  let t = Retier.create (rparams ~n_bundles:3 ()) ~meta_of in
+  ignore (Retier.retier t (snap_of [ 40.; 25.; 9.; 31.; 5. ]));
+  let snap = snap_of ~bin:1 [ 40.; 25.; 9.; 31.; 5.; 17.; 12.; 6. ] in
+  let o = Retier.retier t snap in
+  Alcotest.(check int) "clean prefix = the one cheaper flow" 1
+    o.Retier.o_dirty_from;
+  check_matches_cold t snap o;
+  (* (cost, id) order: ids 0 2 3 1 6 4 5 7 — id 4 sits at position 5. *)
+  let snap = snap_of ~bin:2 [ 40.; 25.; 9.; 33.; 5.; 17.; 12.; 6. ] in
+  let o = Retier.retier t snap in
+  Alcotest.(check bool) "same flows warm-start" true (o.Retier.o_solve = `Warm);
+  Alcotest.(check int) "dirty from id 4's position" 5 o.Retier.o_dirty_from;
+  check_matches_cold t snap o
+
 let test_retier_cache_roundtrip () =
   let t = Retier.create (rparams ~use_cache:true ()) ~meta_of in
   let d2 = List.map (fun q -> q *. 1.5) base_demands in
@@ -860,6 +936,42 @@ let test_daemon_wire_equals_sequence () =
     (strip rs.Daemon.r_run = strip rw.Daemon.r_run);
   Alcotest.(check int) "same flows" rs.Daemon.r_flows rw.Daemon.r_flows
 
+let test_daemon_trace_wire_file () =
+  (* The `tiered-cli trace --format wire` path: synthesized records go
+     through Netflow.in_time_order before encoding (synthesis emits flow
+     by flow, out of time order), so serving the file posts what
+     Ingest.of_records posts over the same (wire-rounded) records. *)
+  let w = Lazy.force small_workload in
+  let records =
+    Flowgen.Netflow.synthesize ~rng:(Numerics.Rng.create 99)
+      (Flowgen.Workload.to_ground_truth w)
+  in
+  let in_order rs =
+    let stamps = List.map (fun (r : Flowgen.Netflow.record) -> r.Flowgen.Netflow.first_s) rs in
+    List.equal Int.equal stamps (List.sort Int.compare stamps)
+  in
+  Alcotest.(check bool) "synthesis is out of time order" false (in_order records);
+  let sorted = Flowgen.Netflow.in_time_order records in
+  Alcotest.(check bool) "in_time_order sorts" true (in_order sorted);
+  let wire = String.concat "" (Flowgen.Netflow.Wire.encode sorted) in
+  let run ingest =
+    let posted = ref [] in
+    let clock, _ = Clock.manual () in
+    ignore
+      (Daemon.run
+         ~on_retier:(fun _ o -> posted := o :: !posted)
+         ~clock
+         ~shards:(Shards.create ~shards:1 ~dedup:true serve_wp)
+         ~retier:(serve_retier w) { Daemon.every_s = 3600 } ingest);
+    List.rev !posted
+  in
+  let from_file = run (Ingest.of_reader (Flowgen.Netflow.Wire.of_string wire)) in
+  let expected =
+    run (Ingest.of_records (List.map Flowgen.Netflow.Wire.normalize records))
+  in
+  Alcotest.(check int) "one window per hour" 24 (List.length from_file);
+  check_same_postings "trace wire file vs of_records" expected from_file
+
 let test_daemon_out_of_order () =
   (* Out-of-order arrivals (dedup off — its contract needs ordered
      input): the tail horizon must not be pulled backwards by a late
@@ -988,6 +1100,10 @@ let suite =
     Alcotest.test_case "retier drill counts solves only" `Quick test_retier_drill_counts_solves_only;
     Alcotest.test_case "retier flow churn warm-starts" `Quick test_retier_flow_churn;
     Alcotest.test_case "retier cache roundtrip" `Quick test_retier_cache_roundtrip;
+    Alcotest.test_case "retier arrival between and tying known costs" `Quick
+      test_retier_arrival_cost_tie;
+    Alcotest.test_case "retier arrivals merge into the cost order" `Quick
+      test_retier_arrivals_merge;
     Alcotest.test_case "retier logit all-or-nothing" `Quick test_retier_logit_all_or_nothing;
     Alcotest.test_case "retier rejects linear" `Quick test_retier_rejects_linear;
     Alcotest.test_case "shards stable partition" `Quick test_shards_stable_partition;
@@ -1001,5 +1117,7 @@ let suite =
     Alcotest.test_case "daemon validation" `Quick test_daemon_validation;
     Alcotest.test_case "shards column growth" `Quick test_shards_column_growth;
     Alcotest.test_case "daemon wire == sequence" `Quick test_daemon_wire_equals_sequence;
+    Alcotest.test_case "daemon serves a trace wire file" `Quick
+      test_daemon_trace_wire_file;
     Alcotest.test_case "daemon churn warm-starts" `Quick test_daemon_churn_warm_starts;
   ]

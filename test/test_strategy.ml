@@ -186,6 +186,41 @@ let prop_optimal_monotone_in_bundles =
       let p2 = profit 2 and p3 = profit 3 and p4 = profit 4 in
       p2 <= p3 +. 1e-9 && p3 <= p4 +. 1e-9)
 
+let test_dp_inputs_presorted () =
+  (* A cost-sorted market (ties in index order) yields the identity
+     cost order; a shuffled copy of it solves to the same cuts. *)
+  let n = 40 in
+  let costs = Array.init n (fun k -> 1. +. (0.37 *. float_of_int k)) in
+  costs.(8) <- costs.(7);
+  let valuations = Array.init n (fun k -> 10. +. float_of_int (k * 7 mod 13)) in
+  (* The tied pair is also equal in valuation, so whichever of the two
+     a cost order puts first, the segment values are the same. *)
+  valuations.(8) <- valuations.(7);
+  let flows =
+    Array.init n (fun k ->
+        Flow.make ~id:k ~demand_mbps:(1. +. float_of_int k)
+          ~distance_miles:(100. +. float_of_int k) ())
+  in
+  let market perm =
+    let pick a = Array.map (fun i -> a.(i)) perm in
+    Market.of_parameters ~spec:Market.Ced ~alpha:1.1 ~p0:20.
+      ~valuations:(pick valuations) ~costs:(pick costs) (pick flows)
+  in
+  let sorted = market (Array.init n Fun.id) in
+  let order, seg, regions = Strategy.dp_inputs sorted in
+  Alcotest.(check (array int)) "identity order" (Array.init n Fun.id) order;
+  (* 17 is coprime to 40, so this is a permutation. *)
+  let shuffle = Array.init n (fun k -> k * 17 mod n) in
+  let order', seg', regions' = Strategy.dp_inputs (market shuffle) in
+  Alcotest.(check bool) "shuffled order is not the identity" false
+    (order' = Array.init n Fun.id);
+  let solve seg regions = Numerics.Segdp.solve ~regions ~n ~n_bundles:4 seg in
+  let a = solve seg regions and b = solve seg' regions' in
+  Alcotest.(check (list int)) "same cuts" a.Numerics.Segdp.cuts
+    b.Numerics.Segdp.cuts;
+  Alcotest.(check bool) "same value" true
+    (Float.equal a.Numerics.Segdp.value b.Numerics.Segdp.value)
+
 let suite =
   [
     Alcotest.test_case "names roundtrip" `Quick test_names_roundtrip;
@@ -203,4 +238,6 @@ let suite =
     Alcotest.test_case "n_bundles validation" `Quick test_n_bundles_validation;
     Alcotest.test_case "single bundle equivalence" `Quick test_single_bundle_all_equal;
     QCheck_alcotest.to_alcotest prop_optimal_monotone_in_bundles;
+    Alcotest.test_case "dp_inputs pre-sorted is the identity" `Quick
+      test_dp_inputs_presorted;
   ]
