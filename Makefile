@@ -8,7 +8,7 @@
 # intentional output change. `make test` also runs the lint (the
 # runtest alias depends on @lint); `make lint` writes its reports.
 
-.PHONY: all build test test-segdp golden-regen smoke smoke-procs lint effects-regen clean
+.PHONY: all build test test-segdp golden-regen smoke smoke-procs lint effects-regen loc clean
 
 all: build
 
@@ -50,6 +50,15 @@ lint:
 effects-regen:
 	dune build @lint --auto-promote || true
 	dune build @lint
+
+# Line counts of the tracked .ml, .mli and dune files: each lib/
+# library, then bin/, examples/, test/ and benchmark/, then the lib +
+# bin total -- the number a simplification should make go down.
+loc:
+	@for d in $$(git ls-files lib | cut -d/ -f1-2 | sort -u) bin examples test benchmark; do \
+	  printf '%-16s %7d\n' "$$d" "$$(git ls-files -z -- "$$d/*.ml" "$$d/*.mli" "$$d/*dune" | xargs -0 cat | wc -l)"; \
+	done
+	@printf '%-16s %7d\n' 'lib + bin' "$$(git ls-files -z -- 'lib/*.ml' 'lib/*.mli' 'lib/*dune' 'bin/*.ml' 'bin/*.mli' 'bin/*dune' | xargs -0 cat | wc -l)"
 
 smoke:
 	dune exec bin/tiered_cli.exe -- run table1 --jobs 2 --metrics

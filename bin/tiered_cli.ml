@@ -796,9 +796,11 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the streaming pricing service on a synthesized NetFlow \
-             stream: sliding-window demand, incremental re-tiering with \
-             warm-started solves, posted tiers identical to from-scratch \
-             solves.")
+             stream (or a wire file, $(b,--from)): sliding-window demand, \
+             incremental re-tiering (a window with the last solved window's \
+             flow count warm-starts from its first changed position; a \
+             changed flow count solves cold), posted tiers identical to \
+             from-scratch solves.")
     Term.(const run $ network_arg $ demand_arg $ cost_arg $ theta_arg
           $ alpha_arg $ p0_arg $ s0_arg $ bundles_arg $ days_arg $ seed_arg
           $ bin_arg $ bins_arg $ every_arg $ decay_arg $ half_life_arg

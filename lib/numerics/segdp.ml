@@ -469,71 +469,11 @@ let traceback ~choice ~best_b ~n =
   in
   go best_b (n - 1) []
 
-let stats_of ~layers ~counts ~evaluations ~regions =
-  {
-    layers;
-    smawk_layers = counts.smawk;
-    fallback_layers = counts.fallback;
-    evaluations;
-    regions = Array.length regions;
-  }
+(* --- retained state --------------------------------------------------------- *)
 
-let finish ~choice ~last ~b_max ~n ~stats =
-  (* Smallest argmax over achievable segment counts — the quadratic DP's
-     best_b selection. *)
-  let best_b = ref 0 in
-  for b = 1 to b_max - 1 do
-    if last.(b) > last.(!best_b) then best_b := b
-  done;
-  {
-    cuts = traceback ~choice ~best_b:!best_b ~n;
-    segments = !best_b + 1;
-    value = last.(!best_b);
-    stats;
-  }
-
-let run ~n ~n_bundles ~regions ~counts ~layer seg_value =
-  validate ~n ~n_bundles;
-  check_regions ~n regions;
-  let b_max = Stdlib.min n_bundles n in
-  let evals = ref 0 in
-  let seg i j =
-    incr evals;
-    seg_value i j
-  in
-  let prev = Array.make n Float.neg_infinity in
-  let cur = Array.make n Float.neg_infinity in
-  let choice = Array.make_matrix b_max n 0 in
-  let last = Array.make b_max Float.neg_infinity in
-  for j = 0 to n - 1 do
-    prev.(j) <- seg 0 j
-  done;
-  last.(0) <- prev.(n - 1);
-  for b = 1 to b_max - 1 do
-    Array.fill cur 0 n Float.neg_infinity;
-    let choice_row = choice.(b) in
-    layer ~prev ~cur ~choice_row ~seg ~b;
-    last.(b) <- cur.(n - 1);
-    Array.blit cur 0 prev 0 n
-  done;
-  finish ~choice ~last ~b_max ~n
-    ~stats:(stats_of ~layers:b_max ~counts ~evaluations:!evals ~regions)
-
-let solve_quadratic ~n ~n_bundles seg_value =
-  run ~n ~n_bundles ~regions:no_regions ~counts:(no_counts ()) seg_value
-    ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
-      exact_layer ~prev ~cur ~choice_row ~seg ~b ~n)
-
-let solve ?(samples = 16) ?(regions = no_regions) ~n ~n_bundles seg_value =
-  let scratch = new_scratch () and counts = no_counts () in
-  run ~n ~n_bundles ~regions ~counts seg_value
-    ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
-      ladder_layer ~scratch ~samples ~regions ~counts ~prev ~cur ~choice_row
-        ~seg ~b ~n)
-
-(* --- warm start ----------------------------------------------------------- *)
-
-(* The streaming re-tier loop solves an almost-identical instance every
+(* Every solve fills the full DP matrices of a state: [solve] and
+   [solve_quadratic] drop it, [solve_with_state] hands it back. The
+   streaming re-tier loop solves an almost-identical instance every
    window: only a suffix of the cost-sorted positions changes. Retaining
    the full DP matrices lets the next solve recompute exactly the
    columns [dirty_from ..] of every layer — column j of any layer
@@ -548,80 +488,102 @@ let solve ?(samples = 16) ?(regions = no_regions) ~n ~n_bundles seg_value =
    silently diverge from a cold one. *)
 
 type state = {
-  mutable st_n : int;
-  st_n_bundles : int;
-  mutable st_b_max : int;
-  mutable st_dp : float array array;  (* b_max rows of n layer values *)
-  mutable st_choice : int array array;  (* b_max rows; row 0 unused *)
-  mutable st_last : float array;  (* dp value of the full prefix per layer *)
+  st_n : int;
+  st_b_max : int;
+  st_dp : float array array;  (* b_max rows of n layer values *)
+  st_choice : int array array;  (* b_max rows; row 0 unused *)
+  st_last : float array;  (* dp value of the full prefix per layer *)
   mutable st_regions : int array;  (* region starts of the last solve *)
   st_scratch : scratch;
 }
 
-(* Fill every layer of [st] from scratch — the same computations as
-   [solve] (the full ladder), just written into retained rows instead
-   of a rolling pair. *)
-let fill_state ~samples ~counts st seg =
-  let n = st.st_n and b_max = st.st_b_max in
-  let regions = st.st_regions in
+let new_state ~n ~n_bundles ~regions =
+  validate ~n ~n_bundles;
+  check_regions ~n regions;
+  let b_max = Stdlib.min n_bundles n in
+  {
+    st_n = n;
+    st_b_max = b_max;
+    st_dp = Array.make_matrix b_max n Float.neg_infinity;
+    st_choice = Array.make_matrix b_max n 0;
+    st_last = Array.make b_max Float.neg_infinity;
+    st_regions = regions;
+    st_scratch = new_scratch ();
+  }
+
+let state_n st = st.st_n
+
+(* [seg_value] wrapped to count its calls. *)
+let counted seg_value =
+  let evals = ref 0 in
+  ( (fun i j ->
+      incr evals;
+      seg_value i j),
+    evals )
+
+(* The optimum the state holds. Smallest argmax over achievable segment
+   counts — the quadratic DP's best_b selection. *)
+let finish st ~layers ~counts ~evaluations =
+  let last = st.st_last in
+  let best_b = ref 0 in
+  for b = 1 to st.st_b_max - 1 do
+    if last.(b) > last.(!best_b) then best_b := b
+  done;
+  {
+    cuts = traceback ~choice:st.st_choice ~best_b:!best_b ~n:st.st_n;
+    segments = !best_b + 1;
+    value = last.(!best_b);
+    stats =
+      {
+        layers;
+        smawk_layers = counts.smawk;
+        fallback_layers = counts.fallback;
+        evaluations;
+        regions = Array.length st.st_regions;
+      };
+  }
+
+(* The one DP fill: the base layer, then every later layer from scratch
+   through [layer], written into the state's retained rows. *)
+let fill ~layer st seg =
+  let n = st.st_n in
   let dp = st.st_dp and choice = st.st_choice and last = st.st_last in
   for j = 0 to n - 1 do
     dp.(0).(j) <- seg 0 j
   done;
   last.(0) <- dp.(0).(n - 1);
-  for b = 1 to b_max - 1 do
-    let prev = dp.(b - 1) and cur = dp.(b) in
-    let choice_row = choice.(b) in
+  for b = 1 to st.st_b_max - 1 do
+    let cur = dp.(b) in
     Array.fill cur 0 n Float.neg_infinity;
-    ladder_layer ~scratch:st.st_scratch ~samples ~regions ~counts ~prev ~cur
-      ~choice_row ~seg ~b ~n;
+    layer ~prev:dp.(b - 1) ~cur ~choice_row:choice.(b) ~seg ~b;
     last.(b) <- cur.(n - 1)
   done
 
+let fill_ladder ~samples ~counts st seg =
+  fill st seg ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
+      ladder_layer ~scratch:st.st_scratch ~samples ~regions:st.st_regions
+        ~counts ~prev ~cur ~choice_row ~seg ~b ~n:st.st_n)
+
+let solve_quadratic ~n ~n_bundles seg_value =
+  let st = new_state ~n ~n_bundles ~regions:no_regions in
+  let seg, evals = counted seg_value in
+  fill st seg ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
+      exact_layer ~prev ~cur ~choice_row ~seg ~b ~n);
+  finish st ~layers:st.st_b_max ~counts:(no_counts ()) ~evaluations:!evals
+
 let solve_with_state ?(samples = 16) ?(regions = no_regions) ~n ~n_bundles
     seg_value =
-  validate ~n ~n_bundles;
-  check_regions ~n regions;
-  let b_max = Stdlib.min n_bundles n in
-  let st =
-    {
-      st_n = n;
-      st_n_bundles = n_bundles;
-      st_b_max = b_max;
-      st_dp = Array.make_matrix b_max n Float.neg_infinity;
-      st_choice = Array.make_matrix b_max n 0;
-      st_last = Array.make b_max Float.neg_infinity;
-      st_regions = regions;
-      st_scratch = new_scratch ();
-    }
-  in
-  let evals = ref 0 and counts = no_counts () in
-  let seg i j =
-    incr evals;
-    seg_value i j
-  in
-  fill_state ~samples ~counts st seg;
-  ( finish ~choice:st.st_choice ~last:st.st_last ~b_max ~n
-      ~stats:(stats_of ~layers:b_max ~counts ~evaluations:!evals ~regions),
-    st )
+  let st = new_state ~n ~n_bundles ~regions in
+  let seg, evals = counted seg_value and counts = no_counts () in
+  fill_ladder ~samples ~counts st seg;
+  (finish st ~layers:st.st_b_max ~counts ~evaluations:!evals, st)
 
-let state_n st = st.st_n
-let state_n_bundles st = st.st_n_bundles
-
-(* The retained optimum, replayed with zero evaluations. *)
-let replay st =
-  ( finish ~choice:st.st_choice ~last:st.st_last ~b_max:st.st_b_max ~n:st.st_n
-      ~stats:
-        (stats_of ~layers:0 ~counts:(no_counts ()) ~evaluations:0
-           ~regions:st.st_regions),
-    `Warm )
+let solve ?samples ?regions ~n ~n_bundles seg_value =
+  fst (solve_with_state ?samples ?regions ~n ~n_bundles seg_value)
 
 (* Recompute columns [d, n) of every layer through the layer's first
    rung, each layer certified as a cold first rung is; [false] as soon
-   as one certificate fails. Layers beyond a smaller retained [b_max]
-   (the instance grew past a tiny old size) have no retained prefix;
-   [max b d] starts them at their first real column anyway because
-   [d <= old_n <= b] there. *)
+   as one certificate fails. *)
 let warm_suffix ~samples ~counts st seg ~d =
   let n = st.st_n and regions = st.st_regions in
   let dp = st.st_dp and choice = st.st_choice and last = st.st_last in
@@ -642,31 +604,6 @@ let warm_suffix ~samples ~counts st seg ~d =
   done;
   !ok
 
-(* The warm attempt from dirty column [d], and the full cold fill into
-   the same state when it diverges (or a drill forces it). The warm
-   attempt's evaluations stay in the bill — they were really spent. *)
-let resolve ~samples ~force_fallback st ~d seg_value =
-  let evals = ref 0 in
-  let seg i j =
-    incr evals;
-    seg_value i j
-  in
-  let warm = no_counts () in
-  let how, counts =
-    if (not force_fallback) && warm_suffix ~samples ~counts:warm st seg ~d then
-      (`Warm, warm)
-    else begin
-      let counts = no_counts () in
-      fill_state ~samples ~counts st seg;
-      (`Cold, counts)
-    end
-  in
-  ( finish ~choice:st.st_choice ~last:st.st_last ~b_max:st.st_b_max ~n:st.st_n
-      ~stats:
-        (stats_of ~layers:st.st_b_max ~counts ~evaluations:!evals
-           ~regions:st.st_regions),
-    how )
-
 let solve_warm ?(samples = 16) ?regions ?(force_fallback = false) st
     ~dirty_from seg_value =
   let n = st.st_n in
@@ -677,68 +614,27 @@ let solve_warm ?(samples = 16) ?regions ?(force_fallback = false) st
       check_regions ~n r;
       st.st_regions <- r
   | None -> ());
-  if dirty_from = n && not force_fallback then replay st
-  else
-    resolve ~samples ~force_fallback st ~d:(Stdlib.min dirty_from (n - 1))
-      seg_value
-
-(* --- structural deltas ---------------------------------------------------- *)
-
-(* Flow arrivals and departures change the instance {e size}, not just a
-   suffix of values: the cost-ordered index injection maps every
-   retained position [< dirty_from] to the same index in the new
-   instance, and everything at or past the first structural change is
-   new territory. The retained rows are reallocated at the new width
-   with the clean prefix blitted across — valid because column j of any
-   layer depends only on positions [<= j], so a prefix that is
-   bitwise-identical as an {e instance} has bitwise-identical columns.
-   The suffix recompute is exactly [solve_warm]'s, with the same
-   per-layer certificates; any failure falls back to a full cold fill
-   into the (already resized) state. *)
-let solve_structural ?(samples = 16) ?regions ?(force_fallback = false) st ~n
-    ~dirty_from seg_value =
-  if n < 1 then invalid_arg "Segdp.solve_structural: n must be positive";
-  let old_n = st.st_n and old_b_max = st.st_b_max in
-  if dirty_from < 0 || dirty_from > Stdlib.min old_n n then
-    invalid_arg "Segdp.solve_structural: dirty_from out of [0, min old_n n]";
-  (match regions with
-  | Some r ->
-      check_regions ~n r;
-      st.st_regions <- r
-  | None ->
-      (* Region starts from the previous (different-sized) instance can
-         point past the new end; keep only the valid prefix. *)
-      if n <> old_n then
-        st.st_regions <-
-          Array.of_seq
-            (Seq.filter (fun s -> s < n) (Array.to_seq st.st_regions)));
-  if n = old_n then solve_warm ~samples ~force_fallback st ~dirty_from seg_value
+  if dirty_from = n && not force_fallback then
+    (* Nothing changed: the retained optimum, replayed with zero
+       evaluations. *)
+    (finish st ~layers:0 ~counts:(no_counts ()) ~evaluations:0, `Warm)
   else begin
-    let b_max = Stdlib.min st.st_n_bundles n in
-    let d = dirty_from in
-    let old_dp = st.st_dp and old_choice = st.st_choice in
-    let dp = Array.make_matrix b_max n Float.neg_infinity in
-    let choice = Array.make_matrix b_max n 0 in
-    for b = 0 to Stdlib.min b_max old_b_max - 1 do
-      Array.blit old_dp.(b) 0 dp.(b) 0 d;
-      Array.blit old_choice.(b) 0 choice.(b) 0 d
-    done;
-    st.st_n <- n;
-    st.st_b_max <- b_max;
-    st.st_dp <- dp;
-    st.st_choice <- choice;
-    st.st_last <- Array.make b_max Float.neg_infinity;
-    if d = n && not force_fallback then begin
-      (* Pure truncation (departures off the tail): every retained
-         column is still exact; only the per-layer totals move to the
-         new final column. Zero evaluations, like an unchanged
-         replay. *)
-      for b = 0 to b_max - 1 do
-        st.st_last.(b) <- dp.(b).(n - 1)
-      done;
-      replay st
-    end
-    else resolve ~samples ~force_fallback st ~d seg_value
+    (* The warm attempt from the first dirty column, and the full cold
+       fill into the same state when it diverges (or a drill forces
+       it). The warm attempt's evaluations stay in the bill — they were
+       really spent. *)
+    let seg, evals = counted seg_value and warm = no_counts () in
+    let d = Stdlib.min dirty_from (n - 1) in
+    let how, counts =
+      if (not force_fallback) && warm_suffix ~samples ~counts:warm st seg ~d
+      then (`Warm, warm)
+      else begin
+        let counts = no_counts () in
+        fill_ladder ~samples ~counts st seg;
+        (`Cold, counts)
+      end
+    in
+    (finish st ~layers:st.st_b_max ~counts ~evaluations:!evals, how)
   end
 
 let verify_columns ?(samples = 64) st seg_value =

@@ -100,14 +100,17 @@ val solve :
     is re-validated with the certificate [solve] runs on that rung, and
     everything is re-solved from scratch (through the full ladder) when
     a check trips. A warm result is therefore always cut-for-cut what the
-    cold solver would have returned on the same inputs. *)
+    cold solver would have returned on the same inputs. A state is
+    sized for one instance: when the instance size changes (flow
+    arrivals or departures), solve cold with a fresh
+    {!solve_with_state}. *)
 
 type state
 (** Retained DP matrices (O(n_bundles * n) floats), mutated in place by
     {!solve_warm}. *)
 
 val state_n : state -> int
-val state_n_bundles : state -> int
+(** The instance size the state was solved at. *)
 
 val solve_with_state :
   ?samples:int ->
@@ -141,31 +144,6 @@ val solve_warm :
     takes the divergence path directly — the fault-injection drill the
     streaming service's tests and smoke use. Raises [Invalid_argument]
     when [dirty_from] is outside [\[0, n\]] or [regions] is malformed. *)
-
-val solve_structural :
-  ?samples:int ->
-  ?regions:int array ->
-  ?force_fallback:bool ->
-  state ->
-  n:int ->
-  dirty_from:int ->
-  (int -> int -> float) ->
-  result * [ `Warm | `Cold ]
-(** Structural warm start: the instance {e size} changed (flow arrivals
-    and departures in the cost-ordered input), and positions
-    [< dirty_from] of the new instance are bitwise-identical — as an
-    instance, [seg_value] included — to the same positions of the
-    retained one. The retained rows are remapped through that index
-    injection (reallocated at width [n], clean prefix blitted) and only
-    columns [>= dirty_from] are recomputed, with the same per-layer
-    spot-checks as {!solve_warm}; any trip falls back to a full cold
-    fill. [dirty_from = n < old n] is a pure tail truncation and
-    replays with zero evaluations. When [n] equals the retained size
-    this is exactly {!solve_warm}. [regions] should be passed whenever
-    the instance changed (decomposition boundaries move); if omitted on
-    a resize, the retained starts are clipped to [< n]. Raises
-    [Invalid_argument] when [n < 1] or [dirty_from] is outside
-    [\[0, min old_n n\]]. *)
 
 val verify_columns : ?samples:int -> state -> (int -> int -> float) -> bool
 (** [verify_columns st seg_value] re-solves up to [samples] (default

@@ -318,30 +318,21 @@ let sig_equal a b =
   && Float.equal a.g_q b.g_q
   && Int.equal a.g_uid b.g_uid
 
-(* First changed DP position, [n] when nothing changed. Lengths may
-   differ (flow arrivals/departures): the result is then the length of
-   the common clean prefix — the index injection the structural warm
-   start remaps the retained state through. Logit's segment values
-   carry set-wide normalizers (max valuation, min cost) and its global
-   demand inversion moves every valuation on any change, so a
-   partially-clean prefix cannot be trusted there: the choice collapses
-   to all (identical signature) or nothing. *)
+(* First changed DP position of a window with the retained state's flow
+   count, [n] when nothing changed. Logit's segment values carry
+   set-wide normalizers (max valuation, min cost) and its global demand
+   inversion moves every valuation on any change, so a partially-clean
+   prefix cannot be trusted there: the choice collapses to all
+   (identical signature) or nothing. *)
 let dirty_from t signature =
   let n = Array.length signature in
-  let n_old = Array.length t.dp_sig in
-  let m = Stdlib.min n_old n in
-  let d = ref m in
-  (try
-     for p = 0 to m - 1 do
-       if not (sig_equal t.dp_sig.(p) signature.(p)) then begin
-         d := p;
-         raise Exit
-       end
-     done
-   with Exit -> ());
+  let d = ref 0 in
+  while !d < n && sig_equal t.dp_sig.(!d) signature.(!d) do
+    incr d
+  done;
   match t.params.spec with
   | Market.Ced -> !d
-  | Market.Logit _ -> if n_old = n && !d = n then n else 0
+  | Market.Logit _ -> if !d = n then n else 0
   | Market.Linear _ -> assert false
 
 let priced market order (r : Numerics.Segdp.result) =
@@ -383,62 +374,40 @@ let retier t (snap : Window.snapshot) =
       let force =
         t.params.cold_every > 0 && (t.solves + 1) mod t.params.cold_every = 0
       in
-      let replay =
-        (* Signature-identical window and no drill due: the retained
-           optimum and its pricing still stand verbatim, so skip the
-           market rebuild, the DP replay and the re-pricing outright. *)
-        match (t.dp, t.last) with
-        | Some st, Some s when Numerics.Segdp.state_n st = n && not force ->
-            let d = dirty_from t signature in
-            if d = n then begin
-              dirty := n;
-              Some s
-            end
-            else begin
-              dirty := d;
-              None
-            end
+      (* The retained state and the window's first dirty position, when
+         the window has the state's flow count. *)
+      let warm =
+        match t.dp with
+        | Some st when Numerics.Segdp.state_n st = n ->
+            Some (st, dirty_from t signature)
         | _ -> None
       in
-      match replay with
-      | Some s ->
+      match (warm, t.last) with
+      | Some (_, d), Some s when d = n && not force ->
+          (* Signature-identical window and no drill due: the retained
+             optimum and its pricing still stand verbatim, so skip the
+             market rebuild, the DP replay and the re-pricing outright. *)
           solve := `Unchanged;
-          evals := 0;
-          fallback := false;
           s
-      | None ->
+      | _ ->
           t.solves <- t.solves + 1;
           let market = market_of t uids qs perm costs in
           let order, seg_value, regions = Tiered.Strategy.dp_inputs market in
-          let result, tag =
-            match t.dp with
-            | Some st ->
-                let d = dirty_from t signature in
-                dirty := d;
-                let same_n = Numerics.Segdp.state_n st = n in
+          let result, how =
+            match warm with
+            | Some (st, d) ->
                 (* Demand changes can move the clamp boundaries between
                    windows, so the warm solve always refreshes the
-                   state's region decomposition. Size changes (flow
-                   arrivals/departures) remap the retained state
-                   through the clean-prefix injection instead of
-                   cold-solving. *)
+                   state's region decomposition. *)
                 let r, how =
-                  if same_n then
-                    Numerics.Segdp.solve_warm ~samples:t.params.samples
-                      ~regions ~force_fallback:force st ~dirty_from:d
-                      seg_value
-                  else
-                    Numerics.Segdp.solve_structural ~samples:t.params.samples
-                      ~regions ~force_fallback:force st ~n ~dirty_from:d
-                      seg_value
+                  Numerics.Segdp.solve_warm ~samples:t.params.samples ~regions
+                    ~force_fallback:force st ~dirty_from:d seg_value
                 in
-                let tag =
-                  match how with
-                  | `Warm -> if same_n && d = n then `Unchanged else `Warm
-                  | `Cold -> `Cold
-                in
-                (r, tag)
+                dirty := (match how with `Warm -> d | `Cold -> 0);
+                (r, how)
             | None ->
+                (* No state yet, or the flow count changed (arrivals or
+                   departures): solve cold into a fresh state. *)
                 dirty := 0;
                 let r, st =
                   Numerics.Segdp.solve_with_state ~samples:t.params.samples
@@ -447,7 +416,7 @@ let retier t (snap : Window.snapshot) =
                 t.dp <- Some st;
                 (r, `Cold)
           in
-          solve := tag;
+          solve := (how :> [ `Warm | `Cold | `Cached | `Unchanged ]);
           evals := result.Numerics.Segdp.stats.Numerics.Segdp.evaluations;
           fallback :=
             force

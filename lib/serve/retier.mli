@@ -20,14 +20,12 @@
        triple and [dirty_from] is the first position whose triple
        changed. Under CED the segment values left of [dirty_from] are
        bitwise unchanged (prefix sums of per-flow terms), so
-       {!Numerics.Segdp.solve_warm} recomputes only the dirty suffix;
-       when the flow {e set} changes (arrivals/departures), the clean
-       common prefix plays the same role and
-       {!Numerics.Segdp.solve_structural} remaps the retained state
-       through the cost-order index injection instead of cold-solving.
-       Logit's segment values carry set-wide normalizers, so its dirty
-       detection is all-or-nothing: identical signature replays the
-       retained optimum, anything else recomputes in full.}
+       {!Numerics.Segdp.solve_warm} recomputes only the dirty suffix.
+       A window whose flow {e count} changed (arrivals/departures)
+       solves cold into a fresh state. Logit's segment values carry
+       set-wide normalizers, so its dirty detection is all-or-nothing:
+       identical signature replays the retained optimum, anything else
+       recomputes in full.}
     {- {b Verification.} Every warm layer is re-validated by the same
        spot-check the cold solver runs, with the exact fallback on any
        trip; [cold_every] additionally forces the divergence drill on a
@@ -90,13 +88,13 @@ type outcome = {
   o_solve : [ `Warm | `Cold | `Cached | `Unchanged ];
       (** [`Unchanged]: identical signature, retained optimum replayed.
           [`Cached]: posted from the result cache without solving.
-          [`Warm] covers both suffix-dirty windows (same flow set) and
-          structural ones (arrivals/departures remapped through
-          {!Numerics.Segdp.solve_structural}). *)
-  o_dirty_from : int;  (** First changed cost-order position ([n_flows]
-                           when nothing changed; [0] on a cold start).
-                           Under flow churn: length of the clean common
-                           prefix of the old and new cost orders. *)
+          [`Warm]: the dirty suffix of a same-size window recomputed.
+          [`Cold]: the first solve, a window whose flow count changed,
+          a drill, or a warm attempt whose spot-check tripped. *)
+  o_dirty_from : int;  (** First cost-order position the posted solve
+                           recomputed: the first changed one on a warm
+                           solve, [n_flows] when nothing was (replay,
+                           cache hit), [0] on every cold solve. *)
   o_evaluations : int;  (** [seg_value] calls this re-tier. *)
   o_fallback : bool;  (** Divergence path taken (spot-check or drill). *)
 }

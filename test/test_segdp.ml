@@ -401,174 +401,6 @@ let test_warm_genuine_divergence () =
   check_same "divergence" warm
     (Numerics.Segdp.solve_quadratic ~n ~n_bundles seg)
 
-(* --- Structural warm starts (arrivals/departures change n) --------------- *)
-
-let test_structural_tail_arrival () =
-  (* Flows appended past the old end: the whole retained table is a
-     clean prefix; only the new tail is computed. *)
-  let n = 60 and n_bundles = 5 and n' = 72 in
-  let w = base_weights n' in
-  let _, st =
-    Numerics.Segdp.solve_with_state ~n ~n_bundles
-      (seg_of_weights (Array.sub w 0 n))
-  in
-  let seg = seg_of_weights w in
-  let r, how = Numerics.Segdp.solve_structural st ~n:n' ~dirty_from:n seg in
-  Alcotest.(check bool) "warm path" true (how = `Warm);
-  let cold = Numerics.Segdp.solve ~n:n' ~n_bundles seg in
-  check_same "tail arrival" r cold;
-  Alcotest.(check bool) "cheaper than cold" true
-    (r.Numerics.Segdp.stats.Numerics.Segdp.evaluations
-    < cold.Numerics.Segdp.stats.Numerics.Segdp.evaluations)
-
-let test_structural_middle_churn () =
-  (* A departure in the middle, then an arrival: positions left of the
-     change are retained, the suffix is recomputed, results match
-     from-scratch at every step. *)
-  let n = 60 and n_bundles = 5 and k = 25 in
-  let w = base_weights n in
-  let _, st = Numerics.Segdp.solve_with_state ~n ~n_bundles (seg_of_weights w) in
-  (* Departure: drop position k. *)
-  let w1 = Array.init (n - 1) (fun i -> if i < k then w.(i) else w.(i + 1)) in
-  let seg1 = seg_of_weights w1 in
-  let r1, how1 = Numerics.Segdp.solve_structural st ~n:(n - 1) ~dirty_from:k seg1 in
-  Alcotest.(check bool) "departure warm" true (how1 = `Warm);
-  check_same "departure" r1 (Numerics.Segdp.solve ~n:(n - 1) ~n_bundles seg1);
-  (* Arrival: insert a new weight at position k on top of that. *)
-  let w2 =
-    Array.init n (fun i ->
-        if i < k then w1.(i) else if i = k then 2.2 else w1.(i - 1))
-  in
-  let seg2 = seg_of_weights w2 in
-  let r2, how2 = Numerics.Segdp.solve_structural st ~n ~dirty_from:k seg2 in
-  Alcotest.(check bool) "arrival warm" true (how2 = `Warm);
-  check_same "arrival" r2 (Numerics.Segdp.solve ~n ~n_bundles seg2);
-  (* The state tracks the latest instance: an unchanged replay works. *)
-  let r3, how3 = Numerics.Segdp.solve_warm st ~dirty_from:n seg2 in
-  Alcotest.(check bool) "replay after churn" true (how3 = `Warm);
-  check_same "replay" r3 r2
-
-let test_structural_pure_truncation () =
-  (* The surviving prefix is byte-identical (dirty_from = new n): the
-     retained columns are refreshed without a single evaluation. *)
-  let n = 80 and n_bundles = 6 and n' = 60 in
-  let w = base_weights n in
-  let _, st = Numerics.Segdp.solve_with_state ~n ~n_bundles (seg_of_weights w) in
-  let seg = seg_of_weights (Array.sub w 0 n') in
-  let r, how = Numerics.Segdp.solve_structural st ~n:n' ~dirty_from:n' seg in
-  Alcotest.(check bool) "warm path" true (how = `Warm);
-  Alcotest.(check int) "zero evaluations" 0
-    r.Numerics.Segdp.stats.Numerics.Segdp.evaluations;
-  check_same "truncation" r (Numerics.Segdp.solve ~n:n' ~n_bundles seg)
-
-let test_structural_same_n_delegates () =
-  (* n unchanged: solve_structural is solve_warm. *)
-  let n = 40 and n_bundles = 4 in
-  let w = base_weights n in
-  let _, st = Numerics.Segdp.solve_with_state ~n ~n_bundles (seg_of_weights w) in
-  w.(20) <- w.(20) +. 3.;
-  let seg = seg_of_weights w in
-  let r, how = Numerics.Segdp.solve_structural st ~n ~dirty_from:20 seg in
-  Alcotest.(check bool) "warm" true (how = `Warm);
-  check_same "same n" r (Numerics.Segdp.solve ~n ~n_bundles seg)
-
-let test_structural_forced_fallback () =
-  (* The drill works across a size change too, and the rebuilt state is
-     warm-usable afterwards. *)
-  let n = 50 and n_bundles = 4 and n' = 55 in
-  let w = base_weights n' in
-  let _, st =
-    Numerics.Segdp.solve_with_state ~n ~n_bundles
-      (seg_of_weights (Array.sub w 0 n))
-  in
-  let seg = seg_of_weights w in
-  let r, how =
-    Numerics.Segdp.solve_structural ~force_fallback:true st ~n:n' ~dirty_from:n
-      seg
-  in
-  Alcotest.(check bool) "cold via drill" true (how = `Cold);
-  check_same "forced" r (Numerics.Segdp.solve ~n:n' ~n_bundles seg);
-  let again, how = Numerics.Segdp.solve_warm st ~dirty_from:n' seg in
-  Alcotest.(check bool) "replay after drill" true (how = `Warm);
-  check_same "post-drill replay" again r
-
-let test_structural_divergence_falls_back () =
-  (* Hostile convex base across a size change: the spot-check must trip
-     and the cold rebuild must match the exact quadratic DP. *)
-  let n = 40 and n_bundles = 5 and n' = 48 in
-  let bump = Array.make n' 0. in
-  let seg_with lim lo hi =
-    let extra = ref 0. in
-    for x = lo to Stdlib.min hi (lim - 1) do
-      extra := !extra +. bump.(x)
-    done;
-    float_of_int ((hi - lo) * (hi - lo)) +. !extra
-  in
-  let _, st = Numerics.Segdp.solve_with_state ~n ~n_bundles (seg_with n) in
-  for i = 20 to n' - 1 do
-    bump.(i) <- 3.
-  done;
-  let seg = seg_with n' in
-  let r, how = Numerics.Segdp.solve_structural st ~n:n' ~dirty_from:20 seg in
-  Alcotest.(check bool) "diverged to cold" true (how = `Cold);
-  check_same "structural divergence" r
-    (Numerics.Segdp.solve_quadratic ~n:n' ~n_bundles seg)
-
-let test_structural_validation () =
-  let n = 10 in
-  let seg = seg_of_weights (base_weights n) in
-  let _, st = Numerics.Segdp.solve_with_state ~n ~n_bundles:3 seg in
-  Alcotest.check_raises "n = 0"
-    (Invalid_argument "Segdp.solve_structural: n must be positive")
-    (fun () -> ignore (Numerics.Segdp.solve_structural st ~n:0 ~dirty_from:0 seg));
-  List.iter
-    (fun (n', d) ->
-      Alcotest.check_raises
-        (Printf.sprintf "n=%d dirty_from=%d" n' d)
-        (Invalid_argument
-           "Segdp.solve_structural: dirty_from out of [0, min old_n n]")
-        (fun () ->
-          ignore (Numerics.Segdp.solve_structural st ~n:n' ~dirty_from:d seg)))
-    [ (12, -1); (12, 11); (8, 9) ]
-
-let prop_structural_churn =
-  QCheck.Test.make ~count:40 ~name:"segdp structural: random churn = cold"
-    QCheck.(
-      pair (int_range 8 40)
-        (list_of_size Gen.(int_range 1 4) (pair (int_range 0 1000) bool)))
-    (fun (n0, edits) ->
-      let n_bundles = 4 in
-      let w = ref (Array.init n0 (fun i -> 1. +. (float_of_int ((i * 13) mod 17) /. 5.))) in
-      let _, st =
-        Numerics.Segdp.solve_with_state ~n:n0 ~n_bundles (seg_of_weights !w)
-      in
-      List.for_all
-        (fun (pos_seed, insert) ->
-          let n = Array.length !w in
-          (* Keep at least two positions so deletions stay legal. *)
-          let insert = insert || n <= 2 in
-          let pos = pos_seed mod (if insert then n + 1 else n) in
-          let w' =
-            if insert then
-              Array.init (n + 1) (fun i ->
-                  if i < pos then !w.(i)
-                  else if i = pos then 0.9 +. (float_of_int (pos_seed mod 7) /. 4.)
-                  else !w.(i - 1))
-            else
-              Array.init (n - 1) (fun i ->
-                  if i < pos then !w.(i) else !w.(i + 1))
-          in
-          w := w';
-          let n' = Array.length w' in
-          let seg = seg_of_weights w' in
-          let r, _ =
-            Numerics.Segdp.solve_structural st ~n:n' ~dirty_from:pos seg
-          in
-          let cold = Numerics.Segdp.solve ~n:n' ~n_bundles seg in
-          r.Numerics.Segdp.cuts = cold.Numerics.Segdp.cuts
-          && Float.equal r.Numerics.Segdp.value cold.Numerics.Segdp.value)
-        edits)
-
 let test_warm_validation () =
   let n = 10 in
   let seg = seg_of_weights (base_weights n) in
@@ -603,20 +435,8 @@ let suite =
     Alcotest.test_case "warm forced fallback" `Quick test_warm_force_fallback;
     Alcotest.test_case "warm genuine divergence" `Quick test_warm_genuine_divergence;
     Alcotest.test_case "warm validation" `Quick test_warm_validation;
-    Alcotest.test_case "structural tail arrival" `Quick test_structural_tail_arrival;
-    Alcotest.test_case "structural middle churn" `Quick test_structural_middle_churn;
-    Alcotest.test_case "structural pure truncation" `Quick
-      test_structural_pure_truncation;
-    Alcotest.test_case "structural same n delegates" `Quick
-      test_structural_same_n_delegates;
-    Alcotest.test_case "structural forced fallback" `Quick
-      test_structural_forced_fallback;
-    Alcotest.test_case "structural divergence falls back" `Quick
-      test_structural_divergence_falls_back;
-    Alcotest.test_case "structural validation" `Quick test_structural_validation;
     Alcotest.test_case "warm suffix on smawk" `Quick test_warm_smawk_suffix;
     Alcotest.test_case "cold ced/linear smawk first" `Quick test_cold_smawk_first;
-    QCheck_alcotest.to_alcotest prop_structural_churn;
     QCheck_alcotest.to_alcotest (prop_cuts_equal "ced" `Ced);
     QCheck_alcotest.to_alcotest (prop_cuts_equal "logit" `Logit);
     QCheck_alcotest.to_alcotest (prop_cuts_equal "linear" `Linear);
