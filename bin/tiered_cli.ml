@@ -8,13 +8,12 @@
    tiered-cli sweep NETWORK --param alpha|p0|s0 [--strategy S] [--jobs N]
        [--manifest FILE]
    tiered-cli serve NETWORK [--days D] [--every SECONDS] [--decay KIND] ...
-   tiered-cli worker --listen PORT
 
    Grid-shaped commands (run, sweep) execute on the Engine pool:
    --jobs picks the worker count, --backend picks the execution
-   substrate (worker domains in-process, worker subprocesses, or a TCP
-   worker fleet — results are merged in submission order, so any
-   --jobs/--backend combination prints byte-identical output) and
+   substrate (worker domains in-process or worker subprocesses —
+   results are merged in submission order, so any --jobs/--backend
+   combination prints byte-identical output) and
    --cache persists calibrated workloads / fitted markets in the
    content-addressed store under _cas/ across invocations. `sweep
    --manifest FILE` additionally records the grid and each completed
@@ -98,67 +97,34 @@ let bundles_arg =
 let jobs_arg =
   Arg.(value & opt int (Engine.Pool.default_jobs ())
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for grid execution (1 = serial). Output is \
+           ~doc:"Workers for grid execution (1 = serial): worker domains \
+                 or worker processes, per $(b,--backend). Output is \
                  byte-identical at any value; defaults to the host's core \
                  count minus one.")
 
 let backend_arg =
-  let kind =
-    Arg.(value
-         & opt (enum [ ("domains", `Domains); ("procs", `Procs); ("remote", `Remote) ])
-             `Domains
-         & info [ "backend" ] ~docv:"B"
-             ~doc:"Pool backend: $(b,domains) runs worker domains inside this \
-                   process; $(b,procs) forks worker processes of this \
-                   executable and recovers from worker crashes (requeue on a \
-                   surviving worker, bounded retries, replacement spawn); \
-                   $(b,remote) drives the worker daemons named by \
-                   $(b,--workers) with the same crash recovery plus work \
-                   stealing, so a slow host does not serialize the tail. \
-                   Output is byte-identical in every case.")
-  in
-  let workers =
-    let parse s = Result.map_error (fun msg -> `Msg msg) (Engine.Remote.parse_spec s) in
-    let print fmt addrs =
-      Format.pp_print_string fmt
-        (String.concat "," (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) addrs))
-    in
-    Arg.(value & opt (some (conv (parse, print))) None
-         & info [ "workers" ] ~docv:"HOST:PORT,..."
-             ~doc:"With --backend remote (required there): the addresses of \
-                   worker daemons started with $(b,tiered-cli worker --listen \
-                   PORT). The fleet size is the number of addresses; \
-                   $(b,--jobs) does not apply.")
-  in
-  let backend kind workers =
-    match (kind, workers) with
-    | `Domains, None -> Ok Engine.Pool.Domains
-    | `Procs, None -> Ok Engine.Pool.Procs
-    | `Remote, Some addrs -> Ok (Engine.Pool.Remote addrs)
-    | `Remote, None ->
-        Error
-          "--backend remote needs --workers HOST:PORT,... naming worker \
-           daemons; start one on each host with `tiered-cli worker --listen \
-           PORT`"
-    | (`Domains | `Procs), Some _ -> Error "--workers needs --backend remote"
-  in
-  Term.(term_result' ~usage:true (const backend $ kind $ workers))
+  Arg.(value
+       & opt (enum [ ("domains", Engine.Pool.Domains); ("procs", Engine.Pool.Procs) ])
+           Engine.Pool.Domains
+       & info [ "backend" ] ~docv:"B"
+           ~doc:"Pool backend: $(b,domains) runs worker domains inside this \
+                 process; $(b,procs) forks worker processes of this \
+                 executable and recovers from worker crashes (requeue on a \
+                 surviving worker, bounded retries, replacement spawn). \
+                 Output is byte-identical in every case.")
 
 let worker_retries_arg =
   Arg.(value & opt int 2
        & info [ "worker-retries" ] ~docv:"N"
-           ~doc:"With --backend procs or remote: how many times a task whose \
-                 worker died is re-executed before the run fails.")
+           ~doc:"With --backend procs: how many times a task whose worker \
+                 died is re-executed before the run fails.")
 
 let task_timeout_arg =
   Arg.(value & opt (some float) None
        & info [ "task-timeout" ] ~docv:"SECONDS"
-           ~doc:"With --backend procs or remote: kill and replace a worker \
-                 whose task runs longer than $(docv) (the task is retried \
-                 like a crash). A $(b,remote) daemon only has its \
-                 connection severed: the computation already running on \
-                 its host runs to completion, then the daemon rejoins the \
-                 fleet; only $(b,procs) workers are actually killed.")
+           ~doc:"With --backend procs: kill and replace a worker whose task \
+                 runs longer than $(docv) (the task is retried like a \
+                 crash).")
 
 let cache_arg =
   Arg.(value & flag
@@ -807,75 +773,6 @@ let serve_cmd =
           $ amplitude_arg $ peak_arg $ cold_every_arg $ cache_arg
           $ cache_max_bytes_arg $ json_arg $ from_arg $ shards_arg)
 
-(* --- worker -------------------------------------------------------------------- *)
-
-let worker_cmd =
-  let listen_arg =
-    Arg.(required & opt (some int) None
-         & info [ "listen" ] ~docv:"PORT" ~doc:"TCP port to listen on.")
-  in
-  let bind_arg =
-    Arg.(value & opt string "127.0.0.1"
-         & info [ "bind" ] ~docv:"ADDR"
-             ~doc:"Address to listen on. Defaults to loopback; pass an \
-                   interface address (or $(b,0.0.0.0)) to accept external \
-                   parents — which additionally requires a shared secret \
-                   ($(b,--token-file) or $(b,TIERED_WORKER_TOKEN)), because \
-                   task frames execute arbitrary code in this daemon. Only \
-                   expose workers on trusted, firewalled networks: the \
-                   secret authenticates, it does not encrypt.")
-  in
-  let token_file_arg =
-    Arg.(value & opt (some string) None
-         & info [ "token-file" ] ~docv:"FILE"
-             ~doc:"Read the shared secret (trailing whitespace trimmed) from \
-                   $(docv). The parent presents the same secret, taken from \
-                   its $(b,TIERED_WORKER_TOKEN) environment variable, before \
-                   any task frame is accepted. Defaults to the daemon's own \
-                   $(b,TIERED_WORKER_TOKEN).")
-  in
-  let run port bind token_file =
-    if port < 1 || port > 65535 then begin
-      Format.eprintf "worker: --listen must be a port in 1..65535@.";
-      exit Cmd.Exit.cli_error
-    end;
-    let token =
-      match token_file with
-      | None -> (
-          match Sys.getenv_opt Engine.Remote.token_env with
-          | Some t -> t
-          | None -> "")
-      | Some f -> (
-          match In_channel.with_open_bin f In_channel.input_all with
-          | contents -> String.trim contents
-          | exception Sys_error msg ->
-              Format.eprintf "worker: cannot read --token-file: %s@." msg;
-              exit Cmd.Exit.cli_error)
-    in
-    try Engine.Remote.serve_forever ~bind ~token ~port with
-    | Unix.Unix_error (e, _, _) ->
-        (* EADDRINUSE from a daemon already on the port is the common
-           operator mistake; report it as a CLI error, not a crash. *)
-        Format.eprintf "worker: cannot listen on %s:%d: %s@." bind port
-          (Unix.error_message e);
-        exit Cmd.Exit.cli_error
-    | Failure msg | Engine.Remote.Spawn_failure msg ->
-        (* Unresolvable --bind, or a non-loopback bind without a
-           secret. *)
-        Format.eprintf "worker: %s@." msg;
-        exit Cmd.Exit.cli_error
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:"Run a standalone fleet worker daemon: listen for a parent \
-             driving $(b,--backend remote --workers host:port,…) and serve \
-             its task and artifact frames, one parent connection at a time, \
-             forever. In-memory artifact caches stay warm across \
-             connections. Listens on loopback unless $(b,--bind) says \
-             otherwise; non-loopback binds require a shared secret and a \
-             trusted network (task frames execute arbitrary code).")
-    Term.(const run $ listen_arg $ bind_arg $ token_file_arg)
-
 (* --- main ---------------------------------------------------------------------- *)
 
 let () =
@@ -889,4 +786,4 @@ let () =
   in
   exit (Cmd.eval (Cmd.group info
        [ list_cmd; run_cmd; dataset_cmd; evaluate_cmd; sweep_cmd; trace_cmd; loading_cmd;
-         tiers_cmd; serve_cmd; worker_cmd ]))
+         tiers_cmd; serve_cmd ]))

@@ -31,9 +31,9 @@ let default =
     pool_sinks = [ "Engine.Pool.map"; "Engine.Pool.map_list" ];
     safe_type_heads = [ "Mutex.t"; "Atomic.t"; "Engine.Cache.t" ];
     (* "Engine." deliberately spans the whole execution layer, including
-       the Engine.Transport scheduler and the Engine.Remote TCP backend:
-       their select loops, retry state and CAS traffic are internally
-       synchronized, so their Nondet atoms stop at the call boundary. *)
+       the Engine.Transport scheduler behind the Procs worker pipes: its
+       select loop, retry state and CAS traffic are internally
+       synchronized, so its Nondet atoms stop at the call boundary. *)
     trusted_prefixes = [ "Engine."; "Tiered.Runner." ];
     sanitizers =
       [

@@ -337,8 +337,8 @@ let disk_remove t digest =
 
 (* --- remote tier ---------------------------------------------------------- *)
 
-(* Inside a fleet worker, {!Transport.serve_worker} installs a hook
-   that forwards misses to the parent process over the task channel;
+(* Inside a worker process, {!Transport.serve_worker} installs a hook
+   that forwards misses to the parent process over the task pipes;
    everywhere else the hook is [None] and this tier is free. *)
 
 let remote_read t digest =
@@ -361,7 +361,7 @@ let remote_publish t digest payload =
   | None -> ()
   | Some rt -> (
       (* Best-effort: a parent that died mid-publish already costs the
-         worker its connection; the computed value is still good. *)
+         worker its pipes; the computed value is still good. *)
       try rt.publish ~cache:t.name ~key_digest:digest ~payload
       with End_of_file | Unix.Unix_error _ | Sys_error _ -> ())
 

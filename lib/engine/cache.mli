@@ -14,16 +14,16 @@
       the digest of its own bytes ([_cas/cas-<digest>.bin], written
       atomically via tmp + rename), and the key digest points at it
       through a tiny reference file, so identical artifacts written
-      under any number of keys, by any number of processes or hosts,
-      occupy one object. Payloads carry a per-cache schema version
+      under any number of keys, by any number of processes, occupy one
+      object. Payloads carry a per-cache schema version
       stamp: a payload written under a different schema is ignored and
       recomputed. Objects are digest-verified on read and corrupt ones
       self-repair (removed, reported as a miss);
-    - an optional {e remote} tier: inside a fleet worker,
-      {!Transport.serve_worker} installs a {!remote_tier} hook that
-      forwards misses to the parent process over the worker's task
-      channel and publishes fresh artifacts back, so a cell computed
-      on one host is never recomputed on another.
+    - an optional {e remote} tier, the worker-process CAS channel:
+      inside a {!Proc} worker, {!Transport.serve_worker} installs a
+      {!remote_tier} hook that forwards misses to the parent process
+      over the worker's task pipes and publishes fresh artifacts back,
+      so a cell computed in one worker is never recomputed in another.
 
     The disk tier is off by default and switched on globally with
     {!enable_disk} (the CLI's [--cache] flag). Corrupt or unreadable
@@ -64,7 +64,7 @@ type remote_tier = {
   fetch : cache:string -> key_digest:string -> string option;
       (** raw payload bytes for a key, or [None] *)
   publish : cache:string -> key_digest:string -> payload:string -> unit;
-      (** offer a freshly computed payload to the far side *)
+      (** offer a freshly computed payload to the parent *)
 }
 
 val create : ?schema:string -> name:string -> unit -> 'v t
@@ -130,8 +130,8 @@ val clear_all : unit -> unit
 
 val set_remote_tier : remote_tier option -> unit
 (** Install (or remove) the process-wide remote tier hook. Installed
-    by {!Transport.serve_worker} for the duration of a worker
-    connection; [None] everywhere else. *)
+    by {!Transport.serve_worker} for the life of a worker process;
+    [None] everywhere else. *)
 
 (** {2 Raw payload access}
 
@@ -178,5 +178,5 @@ module Private : sig
   val payload_of_value : 'v t -> 'v -> string
   (** The exact schema-stamped payload bytes the disk tier would
       store — what a pre-seeded {!Transport.Store} must hold for a
-      remote worker's fetch of this artifact to succeed. For tests. *)
+      worker process's fetch of this artifact to succeed. For tests. *)
 end

@@ -1,11 +1,8 @@
 exception Task_failed of { index : int; exn : exn; backtrace : string }
 
-type backend = Domains | Procs | Remote of (string * int) list
+type backend = Domains | Procs
 
-let backend_name = function
-  | Domains -> "domains"
-  | Procs -> "procs"
-  | Remote _ -> "remote"
+let backend_name = function Domains -> "domains" | Procs -> "procs"
 
 type t = {
   n_jobs : int;
@@ -25,24 +22,12 @@ type t = {
   proc : Proc.t option;
       (* [Some _] when the subprocess backend is active; the domain
          machinery above is then unused. *)
-  remote : ((string * int) list * Remote.t) option;
-      (* [Some (addresses, fleet)] when the TCP fleet backend is active;
-         mutually exclusive with [proc]. *)
 }
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 let jobs t = t.n_jobs
-let backend t =
-  match (t.proc, t.remote) with
-  | Some _, _ -> Procs
-  | None, Some (addrs, _) -> Remote addrs
-  | None, None -> Domains
-
-let restarts t =
-  match (t.proc, t.remote) with
-  | Some p, _ -> Proc.restarts p
-  | None, Some (_, r) -> Remote.restarts r
-  | None, None -> 0
+let backend t = match t.proc with Some _ -> Procs | None -> Domains
+let restarts t = match t.proc with Some p -> Proc.restarts p | None -> 0
 
 let add_busy t idx dt =
   Mutex.lock t.mutex;
@@ -55,10 +40,9 @@ let add_caller_busy t dt =
   Mutex.unlock t.mutex
 
 let busy_times t =
-  match (t.proc, t.remote) with
-  | Some p, _ -> Proc.busy_times p
-  | None, Some (_, r) -> Remote.busy_times r
-  | None, None ->
+  match t.proc with
+  | Some p -> Proc.busy_times p
+  | None ->
       Mutex.lock t.mutex;
       (* A pool without worker domains has exactly one execution slot —
          the caller — so report that; a pooled run reports only the
@@ -110,7 +94,7 @@ let create ?(backend = Domains) ?retries ?timeout_s ?jobs () =
   in
   let proc =
     match backend with
-    | Domains | Remote _ -> None
+    | Domains -> None
     | Procs -> (
         match Proc.create ~workers:n_jobs ?retries ?timeout_s () with
         | p -> Some p
@@ -124,25 +108,6 @@ let create ?(backend = Domains) ?retries ?timeout_s ?jobs () =
               (Printexc.to_string exn);
             None)
   in
-  let remote =
-    match backend with
-    | Domains | Procs -> None
-    | Remote addrs -> (
-        match Remote.create ?retries ?timeout_s addrs with
-        | r -> Some (addrs, r)
-        | exception exn ->
-            (* Same degradation story as Procs: when not one daemon
-               answers, the run still completes, just in-process. *)
-            Printf.eprintf
-              "engine: remote backend unavailable (%s); falling back to the \
-               domain backend\n\
-               %!"
-              (Printexc.to_string exn);
-            None)
-  in
-  let n_jobs =
-    match remote with Some (_, r) -> Remote.workers r | None -> n_jobs
-  in
   let t =
     {
       n_jobs;
@@ -154,20 +119,15 @@ let create ?(backend = Domains) ?retries ?timeout_s ?jobs () =
       busy = Array.make n_jobs 0.;
       caller_busy = 0.;
       proc;
-      remote;
     }
   in
-  (match (proc, remote) with
-  | Some _, _ | _, Some _ -> ()
-  | None, None ->
-      if n_jobs > 1 then
-        t.domains <-
-          List.init n_jobs (fun i -> Domain.spawn (fun () -> worker t i)));
+  if Option.is_none proc && n_jobs > 1 then
+    t.domains <-
+      List.init n_jobs (fun i -> Domain.spawn (fun () -> worker t i));
   t
 
 let shutdown t =
   (match t.proc with Some p -> Proc.shutdown p | None -> ());
-  (match t.remote with Some (_, r) -> Remote.shutdown r | None -> ());
   Mutex.lock t.mutex;
   t.stop <- true;
   Condition.broadcast t.nonempty;
@@ -201,14 +161,12 @@ let collect results =
     results
 
 let map t f tasks =
-  match (t.proc, t.remote) with
-  | Some p, _ ->
+  match t.proc with
+  | Some p ->
       (* Subprocess backend: Proc merges by task index already; reuse
          [collect] for the deterministic lowest-index failure report. *)
       collect (Array.map (fun r -> Some r) (Proc.map p f tasks))
-  | None, Some (_, r) ->
-      collect (Array.map (fun res -> Some res) (Remote.map r f tasks))
-  | None, None ->
+  | None ->
       let n = Array.length tasks in
       let results = Array.make n None in
       if t.n_jobs <= 1 || n <= 1 || t.domains = [] then begin

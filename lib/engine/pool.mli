@@ -7,7 +7,7 @@
     order, so parallel output is byte-identical to a serial run —
     callers never observe scheduling order, whatever the backend.
 
-    Three backends:
+    Two backends:
     - {!Domains} (default): worker domains inside this process. At
       [jobs = 1] no domain is spawned and tasks run serially on the
       calling domain (the fallback for single-core hosts and for
@@ -20,15 +20,8 @@
       backoff. Requires every entry point to call
       {!Proc.maybe_run_worker} first; if no worker can be spawned the
       pool degrades to the domain backend (see {!backend} for the
-      backend actually in use).
-    - {!Remote}: TCP fleet workers ({!Remote}): daemons started
-      out-of-band with [tiered-cli worker --listen PORT], addressed by
-      [(host, port)] (the CLI's [--workers] list); the fleet size is
-      the number of addresses. Same scheduler as {!Procs} (shared
-      {!Transport}): crash recovery, bounded retries, per-task
-      timeouts, work stealing, and a CAS side-channel so workers share
-      artifacts by digest. Degrades to the domain backend when no
-      daemon answers.
+      backend actually in use). Workers share artifacts by digest
+      through a CAS side-channel to the parent ({!Proc.store}).
 
     [jobs] counts workers. The default is
     [Domain.recommended_domain_count () - 1], reserving one core for
@@ -36,10 +29,10 @@
 
 type t
 
-type backend = Domains | Procs | Remote of (string * int) list
+type backend = Domains | Procs
 
 val backend_name : backend -> string
-(** ["domains"] / ["procs"] / ["remote"] — the identity threaded into
+(** ["domains"] / ["procs"] — the identity threaded into
     metrics and CLI output. *)
 
 exception Task_failed of { index : int; exn : exn; backtrace : string }
@@ -64,17 +57,15 @@ val create :
 (** Spawn the workers ([jobs] defaults to {!default_jobs}; values
     [< 1] are clamped to [1]). [backend] defaults to {!Domains}.
     [retries] (default [2]) and [timeout_s] (default none) only apply
-    to the {!Procs} and {!Remote} backends: how many times a task
-    whose worker died is re-executed, and how long one task may run
-    before its worker is killed and replaced. Under {!Remote} [jobs]
-    is ignored and {!jobs} reports the fleet size. *)
+    to the {!Procs} backend: how many times a task whose worker died
+    is re-executed, and how long one task may run before its worker is
+    killed and replaced. *)
 
 val jobs : t -> int
 
 val backend : t -> backend
-(** The backend actually in use — {!Domains} when a {!Procs} or
-    {!Remote} request degraded because no worker could be brought
-    up. *)
+(** The backend actually in use — {!Domains} when a {!Procs} request
+    degraded because no worker process could be brought up. *)
 
 val restarts : t -> int
 (** Workers lost and replaced so far ([0] under the domain backend). *)
@@ -94,9 +85,9 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f tasks] runs [f] over every element, in parallel when
     the pool has workers, and returns results in input order. Safe to
     call repeatedly; not re-entrant from inside a worker task. Under
-    the {!Procs} backend tasks must be pure (or idempotent): crash
-    recovery re-executes the in-flight task, i.e. at-least-once
-    execution with exactly-once result merging. *)
+    the {!Procs} backend each task runs exactly once unless a worker
+    is lost: crash recovery re-executes the in-flight task, so tasks
+    must be pure (or idempotent). Results merge exactly once. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 

@@ -1,10 +1,9 @@
 (* Subprocess worker backend. See proc.mli for the contract.
 
-   This module is now only the pipe transport: fork/exec of the
-   current executable, stdin/stdout plumbing, and child reaping. The
-   frame protocol, handshake/resync, crash recovery, bounded retries,
-   per-task timeouts and work stealing all live in {!Transport}, which
-   this backend shares with {!Remote}. *)
+   This module is only the pipe plumbing: fork/exec of the current
+   executable, stdin/stdout wiring, and child reaping. The frame
+   protocol, handshake/resync, crash recovery, bounded retries and
+   per-task timeouts live in {!Transport}. *)
 
 exception Spawn_failure = Transport.Spawn_failure
 exception Remote_failure = Transport.Remote_failure
@@ -23,7 +22,7 @@ let serve_worker () =
   let out_fd = Unix.dup Unix.stdout in
   (* lint: allow D001 — point further stdout writes at stderr so stray prints cannot corrupt the protocol. *)
   Unix.dup2 Unix.stderr Unix.stdout;
-  Transport.serve_worker ~in_fd:Unix.stdin ~out_fd ()
+  Transport.serve_worker ~in_fd:Unix.stdin ~out_fd
 
 let maybe_run_worker () =
   if Array.exists (String.equal worker_flag) Sys.argv then
@@ -54,9 +53,6 @@ let spawn_endpoint () =
       Transport.close_noerr task_r;
       Transport.close_noerr res_w;
       try
-        (* Pipe fds are private by construction, so the empty token is
-           the whole preamble here; TCP endpoints carry a real secret. *)
-        Transport.write_auth task_w ~token:"";
         Transport.write_config task_w;
         Transport.handshake ~deadline_s:10.0 res_r;
         {
@@ -109,5 +105,6 @@ let create ?workers ?(retries = 2) ?timeout_s () =
 let workers t = Transport.workers t.sched
 let restarts t = Transport.restarts t.sched
 let busy_times t = Transport.busy_times t.sched
+let store t = Transport.store t.sched
 let map t f tasks = Transport.map t.sched f tasks
 let shutdown t = Transport.shutdown t.sched

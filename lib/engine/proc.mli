@@ -25,24 +25,25 @@
       the OS, not the OCaml domain scheduler.
 
     The cost is that workers are cold processes: in-memory artifact
-    caches start empty in every worker, so cross-process artifact
-    sharing happens through the {!Cache} disk tier — the parent's disk
-    cache configuration is forwarded to each worker during the spawn
+    caches start empty in every worker. Workers share artifacts through
+    the parent: a cache miss in a worker is fetched by digest from the
+    parent's {!store} over the task pipes, and fresh artifacts are
+    published back (the {!Cache} remote tier). The parent's disk cache
+    configuration is forwarded to each worker during the spawn
     handshake.
 
-    Tasks must therefore be pure (or idempotent): a task interrupted
-    by a crash or timeout is re-executed, i.e. the backend provides
-    at-least-once execution with exactly-once {e result merging}.
+    Each task runs exactly once unless a worker is lost: a task
+    interrupted by a crash or timeout is re-executed, so tasks must be
+    pure (or idempotent). Results merge exactly once.
 
     {!create} raises {!Spawn_failure} when no worker at all can be
     brought up; {!Pool} uses that to degrade gracefully to the domain
     backend.
 
-    This module is only the pipe {e transport}; the scheduler (frame
-    protocol, crash recovery, retries, timeouts, work stealing, CAS
-    side-channel) is {!Transport}, shared with the TCP backend
-    {!Remote}. The exceptions below are aliases of {!Transport}'s, so
-    matching on either module's constructors works. *)
+    This module is only the pipe plumbing; the scheduler (frame
+    protocol, crash recovery, retries, timeouts, CAS side-channel) is
+    {!Transport}. The exceptions below are aliases of {!Transport}'s,
+    so matching on either module's constructors works. *)
 
 type t
 
@@ -94,6 +95,11 @@ val busy_times : t -> float array
 (** Cumulative seconds each worker slot spent with a task in flight
     (includes time wasted on attempts that ended in a crash). *)
 
+val store : t -> Transport.Store.t
+(** The parent-side artifact store answering the workers' CAS frames
+    — exposed so callers and tests can pre-seed artifacts workers will
+    fetch by digest, or read back what they published. *)
+
 val map : t -> ('a -> 'b) -> 'a array -> ('b, exn * string) result array
 (** Run [f] over every element on the worker processes; the result
     array is in input order. Worker-side task exceptions surface as
@@ -101,7 +107,8 @@ val map : t -> ('a -> 'b) -> 'a array -> ('b, exn * string) result array
     exhausted as [Error (Worker_lost _, "")]. Every task is attempted
     regardless of earlier failures. If at some point no worker is left
     alive and none can be respawned, the remaining tasks run on the
-    calling process (same semantics, no parallelism). Not re-entrant. *)
+    calling process (same semantics, no parallelism). Each task runs
+    exactly once unless a worker is lost. Not re-entrant. *)
 
 val shutdown : t -> unit
 (** Close task pipes (workers exit on EOF), reap every child, SIGKILL

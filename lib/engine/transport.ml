@@ -1,4 +1,4 @@
-(* Shared worker-transport machinery. See transport.mli for the contract.
+(* The worker-pipe scheduler. See transport.mli for the contract.
 
    Wire protocol (both directions): length-prefixed Marshal frames —
    a 4-byte big-endian payload length followed by the payload bytes.
@@ -11,7 +11,7 @@
         the code-segment digest) and CAS-fetch replies.
    Frames from worker to parent:
      1. a magic byte-string, then one "ready" handshake frame (this is
-        also how spawn/connect failures are detected: a peer that dies
+        also how spawn failures are detected: a worker that dies
         before the handshake reads as EOF and the transport reports
         Spawn_failure);
      2. [up] frames: task results ([(index, (Ok value | Error
@@ -27,25 +27,24 @@
 
    The magic resynchronizes the stream: module initializers of the
    host executable run before the worker entry point and may print to
-   stdout — which, in a pipe worker, IS the result channel
+   stdout — which, in a worker, IS the result channel
    (qcheck-alcotest's seed banner does exactly this). The parent
    discards bytes until the magic, after which the worker has
    redirected fd 1 away and owns the stream exclusively.
 
    Crash detection needs no SIGCHLD handler: a dead worker's result
    channel reads EOF (or the task channel writes EPIPE), which is both
-   prompt and race-free under [select]; process-backed endpoints reap
-   the corpse with [waitpid] in their close hook. *)
+   prompt and race-free under [select]; endpoints reap the corpse with
+   [waitpid] in their close hook. *)
 
 exception Spawn_failure of string
 exception Remote_failure of { message : string }
 exception Worker_lost of { attempts : int; reason : string }
 exception Frame_too_large of { bytes : int }
-exception Auth_failure
 
-(* Deadlines (task timeouts, steal_after, respawn backoff) only ever
-   subtract two readings, so they run on CLOCK_MONOTONIC: a wall-clock
-   step must not fire or starve them. *)
+(* Deadlines (task timeouts, respawn backoff) only ever subtract two
+   readings, so they run on CLOCK_MONOTONIC: a wall-clock step must not
+   fire or starve them. *)
 let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 (* --- framed IO over raw fds ---------------------------------------------- *)
@@ -107,41 +106,6 @@ let read_frame fd =
    restarts the match at 1 iff the offending byte is '\001'. *)
 let magic = "\001\253tiered-engine-worker\253\002"
 
-(* --- shared-secret auth ----------------------------------------------------- *)
-
-(* Task frames carry [Marshal.Closures] payloads, i.e. whoever can
-   speak the protocol gets arbitrary code execution in the worker. A
-   pipe worker inherits its fds and needs no secret (the channel is
-   private by construction), but a TCP worker must authenticate its
-   parent before unmarshalling a single byte: the parent's very first
-   frame is the shared token, raw bytes, never [Marshal]ed, compared in
-   constant time under its own small length cap so an unauthenticated
-   peer can neither probe the comparison nor force a big allocation.
-   The worker proves knowledge of the same token back by folding it
-   into the ready frame, which {!handshake} checks — so a parent also
-   cannot be fed results by an impostor that guessed the port. *)
-
-let max_auth_bytes = 4096
-
-let const_time_equal a b =
-  String.length a = String.length b
-  &&
-  let d = ref 0 in
-  String.iteri (fun i c -> d := !d lor (Char.code c lxor Char.code b.[i])) a;
-  !d = 0
-
-let write_auth fd ~token = write_frame fd token
-
-let read_auth fd ~expect =
-  let hdr = Bytes.create 4 in
-  read_all fd hdr 0 4;
-  let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-  if len < 0 || len > max_auth_bytes then raise Auth_failure;
-  let buf = Bytes.create len in
-  read_all fd buf 0 len;
-  if not (const_time_equal (Bytes.unsafe_to_string buf) expect) then
-    raise Auth_failure
-
 (* --- wire frames ----------------------------------------------------------- *)
 
 type worker_config = { disk_dir : string option; disk_max : int option }
@@ -197,18 +161,14 @@ let reap_with_grace pid =
 
 (* --- worker side ----------------------------------------------------------- *)
 
-let serve_worker ~in_fd ~out_fd ?(token = "") () =
-  (* Authenticate the parent before trusting anything on the stream:
-     every later frame is unmarshalled, and task frames carry
-     closures. *)
-  read_auth in_fd ~expect:token;
+let serve_worker ~in_fd ~out_fd =
   let config : worker_config = Marshal.from_string (read_frame in_fd) 0 in
   (match config.disk_dir with
   | Some dir -> Cache.enable_disk ?max_bytes:config.disk_max ~dir ()
   | None -> Cache.disable_disk ());
   (* Route cache misses through the parent: the parent answers from its
-     CAS (or its in-memory artifact store), so a cell computed by any
-     worker in the fleet is never recomputed by another. *)
+     CAS (or its in-memory artifact store), so a cell computed by one
+     worker is never recomputed by another. *)
   Cache.set_remote_tier
     (Some
        {
@@ -232,7 +192,7 @@ let serve_worker ~in_fd ~out_fd ?(token = "") () =
     ~finally:(fun () -> Cache.set_remote_tier None)
     (fun () ->
       write_all out_fd (Bytes.unsafe_of_string magic) 0 (String.length magic);
-      write_frame out_fd ("ready" ^ token);
+      write_frame out_fd "ready";
       let rec loop () =
         match read_frame in_fd with
         | exception End_of_file -> ()
@@ -276,10 +236,10 @@ let serve_worker ~in_fd ~out_fd ?(token = "") () =
 
 (* --- parent-side handshake ------------------------------------------------- *)
 
-let handshake ~deadline_s ?(token = "") fd =
-  (* The handshake doubles as the spawn-failure detector: a peer that
+let handshake ~deadline_s fd =
+  (* The handshake doubles as the spawn-failure detector: a worker that
      could not exec (or crashed in init) reads as EOF. Before the
-     handshake frame the peer's stdout may carry arbitrary init-time
+     handshake frame the worker's stdout may carry arbitrary init-time
      noise (e.g. a test harness's seed banner), so scan byte-by-byte
      until the magic marker. *)
   let deadline = now () +. deadline_s in
@@ -304,11 +264,7 @@ let handshake ~deadline_s ?(token = "") fd =
   in
   scan 0;
   wait_readable ();
-  let r = read_frame fd in
-  (* The worker folds the shared token into its ready frame, proving it
-     read (and accepted) the parent's auth preamble — mutual auth for
-     free, and what rejects an impostor squatting on a worker's port. *)
-  if not (const_time_equal r ("ready" ^ token)) then
+  if not (String.equal (read_frame fd) "ready") then
     failwith "bad worker handshake"
 
 (* --- parent-side artifact store -------------------------------------------- *)
@@ -350,11 +306,10 @@ end
 (* --- scheduler ------------------------------------------------------------- *)
 
 (* A connected, handshaken worker as the scheduler sees it: two fds to
-   select/write on and two transport-specific hooks. [kill] forces the
-   peer down right now (SIGKILL for a child process, close for a bare
-   socket); [close] releases everything the endpoint holds, gracefully
-   where possible. The crash path runs kill-then-close; the graceful
-   path runs close alone. *)
+   select/write on and two hooks. [kill] forces the worker down right
+   now (SIGKILL); [close] releases everything the endpoint holds,
+   gracefully where possible. The crash path runs kill-then-close; the
+   graceful path runs close alone. *)
 type endpoint = {
   ep_send : Unix.file_descr;
   ep_recv : Unix.file_descr;
@@ -368,31 +323,28 @@ type sched = {
   s_n : int;
   s_retries : int;
   s_timeout : float option;
-  s_steal_after : float;
   s_slots : live option array;
   s_busy : float array;
   s_respawn : int -> endpoint option;
   s_respawn_at : float array;
       (* Earliest next respawn attempt per empty slot; [infinity] means
-         none is scheduled. A failed respawn (e.g. a standalone daemon
-         still chewing on its severed task) must not be retried in a
-         tight loop from the scheduler — attempts are deferred with
-         exponential backoff and retried from [map] while work is
-         pending, so the slot is recovered instead of silently lost. *)
+         none is scheduled. A failed respawn (a fork that failed
+         transiently) must not be retried in a tight loop from the
+         scheduler — attempts are deferred with exponential backoff and
+         retried from [map] while work is pending, so the slot is
+         recovered instead of silently lost. *)
   s_respawn_backoff : float array;
   s_store : Store.t;
   mutable s_restarts : int;
   mutable s_shut : bool;
 }
 
-let make_sched ?(retries = 2) ?timeout_s ?(steal_after = 1.0) ~respawn
-    endpoints =
+let make_sched ?(retries = 2) ?timeout_s ~respawn endpoints =
   let n = Array.length endpoints in
   {
     s_n = n;
     s_retries = max 0 retries;
     s_timeout = timeout_s;
-    s_steal_after = Float.max 0.01 steal_after;
     s_slots = Array.map (Option.map (fun ep -> { ep; job = None })) endpoints;
     s_busy = Array.make n 0.;
     s_respawn = respawn;
@@ -420,23 +372,16 @@ let map (type a b) t (f : a -> b) (tasks : a array) :
   else begin
     let results : (b, exn * string) result option array = Array.make n None in
     let pending = Queue.create () in
-    (* Per-task bookkeeping replacing the old (index, attempt) queue
-       pairs — work stealing means a task can be in flight on two
-       workers at once, so attempts must be counted centrally. *)
-    let queued = Array.make n false in
-    let failures = Array.make n 0 in
-    let copies = Array.make n 0 in
     for i = 0 to n - 1 do
-      Queue.add i pending;
-      queued.(i) <- true
+      Queue.add i pending
     done;
+    (* Crashed executions per task, charged against [s_retries]. *)
+    let failures = Array.make n 0 in
     let completed = ref 0 in
     let crashes = ref 0 in
     let record i r =
-      if Option.is_none results.(i) then begin
-        results.(i) <- Some r;
-        incr completed
-      end
+      results.(i) <- Some r;
+      incr completed
     in
     (* Last resort when every worker is gone and none respawns: run on
        the calling process with identical semantics. *)
@@ -451,24 +396,17 @@ let map (type a b) t (f : a -> b) (tasks : a array) :
       let thunk () = Obj.repr (f x) in
       write_frame w.ep.ep_send
         (Marshal.to_string (Task (i, thunk)) [ Marshal.Closures ]);
-      w.job <- Some (i, now ());
-      copies.(i) <- copies.(i) + 1
+      w.job <- Some (i, now ())
     in
-    (* Detach a worker from its in-flight task: charge busy time, drop
-       the copy count. Returns the task index. *)
+    (* Detach a worker from its in-flight task and charge its busy
+       time. Returns the task index. *)
     let retire si w =
       match w.job with
       | None -> None
       | Some (i, started) ->
           t.s_busy.(si) <- t.s_busy.(si) +. (now () -. started);
-          copies.(i) <- copies.(i) - 1;
           w.job <- None;
           Some i
-    in
-    let drop_worker si w =
-      w.ep.ep_kill ();
-      w.ep.ep_close ();
-      t.s_slots.(si) <- None
     in
     let try_respawn si =
       match t.s_respawn si with
@@ -482,34 +420,29 @@ let map (type a b) t (f : a -> b) (tasks : a array) :
             Float.min 10. (2. *. t.s_respawn_backoff.(si))
     in
     (* A worker died (EOF / EPIPE / timeout / garbage frames): drop it,
-       requeue its in-flight task unless another copy is still running
-       (bounded by max_retries), back off briefly and respawn a
-       replacement into the same slot. *)
+       requeue its in-flight task (bounded by max_retries), back off
+       briefly and respawn a replacement into the same slot. *)
     let handle_crash si w reason =
       incr crashes;
       t.s_restarts <- t.s_restarts + 1;
       let job = retire si w in
-      drop_worker si w;
+      w.ep.ep_kill ();
+      w.ep.ep_close ();
+      t.s_slots.(si) <- None;
       (match job with
-      | Some i when Option.is_none results.(i) ->
+      | Some i ->
           failures.(i) <- failures.(i) + 1;
-          if copies.(i) = 0 then begin
-            if failures.(i) > t.s_retries then
-              record i
-                (Error (Worker_lost { attempts = failures.(i); reason }, ""))
-            else if not queued.(i) then begin
-              Queue.add i pending;
-              queued.(i) <- true
-            end
-          end
-      | Some _ | None -> ());
+          if failures.(i) > t.s_retries then
+            record i
+              (Error (Worker_lost { attempts = failures.(i); reason }, ""))
+          else Queue.add i pending
+      | None -> ());
       Unix.sleepf
         (Float.min 0.5 (0.02 *. (2. ** float_of_int (Stdlib.min !crashes 5))));
       try_respawn si
     in
-    (* Retry deferred respawns for empty slots while work remains —
-       a standalone daemon that finished (or was restarted) after a
-       severed connection picks its slot back up mid-map. *)
+    (* Retry deferred respawns for empty slots while work remains, so a
+       slot whose fork failed picks back up mid-map. *)
     let retry_respawns () =
       if not (Queue.is_empty pending) then
         Array.iteri
@@ -561,24 +494,12 @@ let map (type a b) t (f : a -> b) (tasks : a array) :
           | Cas_put (cache, key_digest, payload) ->
               Store.put t.s_store ~cache ~key_digest ~payload)
     in
-    let next_pending () =
-      let rec go () =
-        match Queue.take_opt pending with
-        | None -> None
-        | Some i ->
-            queued.(i) <- false;
-            (* A duplicate may have finished while this copy waited. *)
-            if Option.is_none results.(i) then Some i else go ()
-      in
-      go ()
-    in
     let dispatch () =
       Array.iteri
         (fun si slot ->
           match slot with
-          | Some w when Option.is_none w.job && not (Queue.is_empty pending)
-            -> (
-              match next_pending () with
+          | Some w when Option.is_none w.job -> (
+              match Queue.take_opt pending with
               | None -> ()
               | Some i -> (
                   match send_task w i with
@@ -593,61 +514,13 @@ let map (type a b) t (f : a -> b) (tasks : a array) :
                          reached it, so requeue without charging an
                          attempt. *)
                       Queue.add i pending;
-                      queued.(i) <- true;
                       handle_crash si w "task dispatch failed"))
           | _ -> ())
         t.s_slots
     in
-    (* Work stealing as speculative tail duplication: once the queue is
-       drained, an idle worker re-runs the oldest single-copy in-flight
-       task (age-gated so short tasks never duplicate) instead of
-       sitting out the tail behind one slow host. First result wins;
-       the laggard's late frame is matched against its own job and
-       merging stays exactly-once. *)
-    let steal () =
-      if Queue.is_empty pending then begin
-        let tnow = now () in
-        Array.iteri
-          (fun si slot ->
-            match slot with
-            | Some w when Option.is_none w.job -> (
-                let victim = ref None in
-                Array.iter
-                  (fun other ->
-                    match other with
-                    | Some o -> (
-                        match o.job with
-                        | Some (i, started)
-                          when copies.(i) = 1
-                               && Option.is_none results.(i)
-                               && tnow -. started >= t.s_steal_after -> (
-                            match !victim with
-                            | Some (_, s0) when s0 <= started -> ()
-                            | _ -> victim := Some (i, started))
-                        | _ -> ())
-                    | None -> ())
-                  t.s_slots;
-                match !victim with
-                | None -> ()
-                | Some (i, _) -> (
-                    match send_task w i with
-                    | () -> ()
-                    | exception Frame_too_large _ ->
-                        (* Cannot have happened on the victim's copy
-                           without failing there first; skip the steal. *)
-                        ()
-                    | exception (Unix.Unix_error _ | Sys_error _) ->
-                        (* The task is still running elsewhere; only the
-                           thief is lost. *)
-                        handle_crash si w "task dispatch failed"))
-            | _ -> ())
-          t.s_slots
-      end
-    in
     while !completed < n do
       retry_respawns ();
       dispatch ();
-      steal ();
       let in_flight =
         Array.to_seq t.s_slots
         |> Seq.filter_map (function
@@ -658,20 +531,13 @@ let map (type a b) t (f : a -> b) (tasks : a array) :
       if in_flight = [] then begin
         (* Nothing is running. If workers survive, the next loop
            iteration dispatches; if none are left, drain locally. *)
-        if Array.for_all Option.is_none t.s_slots then
-          while not (Queue.is_empty pending) do
-            match next_pending () with
-            | Some i -> run_local i
-            | None -> ()
-          done
+        if Array.for_all Option.is_none t.s_slots then begin
+          Queue.iter run_local pending;
+          Queue.clear pending
+        end
       end
       else begin
         let tnow = now () in
-        let has_idle =
-          Array.exists
-            (function Some w -> Option.is_none w.job | None -> false)
-            t.s_slots
-        in
         let tmo =
           let acc =
             match t.s_timeout with
@@ -686,23 +552,8 @@ let map (type a b) t (f : a -> b) (tasks : a array) :
                     | None -> acc)
                   ts in_flight
           in
-          (* Also wake when the oldest single-copy task crosses the
-             steal age, so an idle worker picks it up promptly. *)
-          let acc =
-            if has_idle then
-              List.fold_left
-                (fun acc w ->
-                  match w.job with
-                  | Some (i, started) when copies.(i) = 1 ->
-                      Float.min acc
-                        (Float.max 0.001
-                           (started +. t.s_steal_after -. tnow))
-                  | _ -> acc)
-                acc in_flight
-            else acc
-          in
-          (* And for deferred respawn retries, so a recovered daemon
-             rejoins promptly while tasks are still pending. *)
+          (* Also wake for deferred respawn retries, so a recovered
+             slot rejoins promptly while tasks are still pending. *)
           let acc =
             let a = ref acc in
             if not (Queue.is_empty pending) then
@@ -722,8 +573,8 @@ let map (type a b) t (f : a -> b) (tasks : a array) :
         let fds = List.map (fun w -> w.ep.ep_recv) in_flight in
         match restart_on_intr (fun () -> Unix.select fds [] [] tmo) with
         | [], _, _ -> (
-            (* Timer wake-up: either a steal just became possible (the
-               next loop iteration handles it) or a task exceeded its
+            (* Timer wake-up: either a deferred respawn is due (the next
+               loop iteration handles it) or a task exceeded its
                timeout — kill every worker over the limit. *)
             match t.s_timeout with
             | None -> ()
@@ -749,21 +600,6 @@ let map (type a b) t (f : a -> b) (tasks : a array) :
               t.s_slots
       end
     done;
-    (* Laggards: workers still chewing on a task whose duplicate
-       already won. Their eventual result frame would cross into the
-       next map's protocol stream, so replace them now. Not counted as
-       restarts — nothing failed. *)
-    Array.iteri
-      (fun si slot ->
-        match slot with
-        | Some w when Option.is_some w.job ->
-            ignore (retire si w : int option);
-            drop_worker si w;
-            (match t.s_respawn si with
-            | Some ep -> t.s_slots.(si) <- Some { ep; job = None }
-            | None -> ())
-        | _ -> ())
-      t.s_slots;
     Array.map (function Some r -> r | None -> assert false) results
   end
 

@@ -1,26 +1,21 @@
-(** Shared worker-transport machinery: one scheduler, many transports.
+(** The worker-pipe scheduler behind {!Proc}.
 
-    {!Proc} (pipe-connected subprocesses) and {!Remote} (TCP-connected
-    fleet workers) both run tasks through this module. A transport
-    contributes {e endpoints} — connected, handshaken workers wrapped
-    in an {!endpoint} record — and a respawn hook; the scheduler owns
-    everything else: length-prefixed frame IO, the handshake/resync
-    magic, crash detection and bounded-retry requeue, per-task
-    timeouts, work stealing (speculative tail duplication: idle
-    workers re-run the oldest in-flight task once the queue drains, so
-    one slow host cannot serialize the tail; first result wins and
-    merging stays exactly-once), local draining when every worker is
-    gone, and the CAS side-channel that lets workers fetch and publish
-    artifacts by digest over their task connection.
+    {!Proc} contributes {e endpoints} — forked, handshaken worker
+    processes wrapped in an {!endpoint} record — and a respawn hook;
+    this module owns everything else: length-prefixed frame IO, the
+    handshake/resync magic, crash detection and bounded-retry requeue,
+    per-task timeouts, local draining when every worker is gone, and
+    the CAS side-channel that lets workers fetch and publish artifacts
+    by digest over their task pipes.
 
-    Tasks must be pure (or idempotent): crash recovery and stealing
-    both re-execute tasks, i.e. the scheduler provides at-least-once
-    execution with exactly-once {e result merging} in submission
+    Each task runs exactly once unless a worker is lost: crash recovery
+    re-executes the task a dead worker was running, so tasks must be
+    pure (or idempotent). Results merge exactly once, in submission
     order. *)
 
 exception Spawn_failure of string
-(** No worker could be brought up (exec/connect failure, fd
-    exhaustion, handshake timeout). *)
+(** No worker could be brought up (exec failure, fd exhaustion,
+    handshake timeout). *)
 
 exception Remote_failure of { message : string }
 (** The task itself raised inside a worker. [message] is the printed
@@ -39,16 +34,7 @@ exception Frame_too_large of { bytes : int }
     would corrupt the stream); a task whose marshalled form is oversize
     fails with this in its result slot, without blaming the worker. *)
 
-exception Auth_failure
-(** The peer's shared-secret preamble was missing, oversize, or did not
-    match the expected token. Raised by {!serve_worker} before any
-    frame is unmarshalled — task frames carry closures, so an
-    unauthenticated peer must never get that far. *)
-
 (** {1 Framed IO} *)
-
-val restart_on_intr : (unit -> 'a) -> 'a
-(** Retry a syscall wrapper on [EINTR]. *)
 
 val write_frame : Unix.file_descr -> string -> unit
 (** One length-prefixed frame: 4-byte big-endian length, then payload.
@@ -67,29 +53,13 @@ val magic : string
 (** Stream-resync marker a worker emits before its first frame, so
     init-time stdout noise ahead of it is discarded by the parent. *)
 
-(** {1 Shared-secret auth}
-
-    Task frames are [Marshal.Closures] payloads — speaking the protocol
-    is arbitrary code execution in the peer. Pipe workers inherit
-    private fds and use the empty token; TCP workers must be driven
-    with a non-empty shared secret whenever they listen beyond
-    loopback. The parent's first bytes on a fresh connection are the
-    token (raw, never marshalled, compared in constant time under a
-    small length cap); the worker folds the same token into its ready
-    frame, so {!handshake} authenticates the worker back. *)
-
-val write_auth : Unix.file_descr -> token:string -> unit
-(** Send the auth preamble. Always the first write on a connection,
-    before {!write_config}. *)
-
 (** {1 Worker side} *)
 
 type worker_config = { disk_dir : string option; disk_max : int option }
 (** The parent's disk-cache configuration, forwarded in the first
-    frame of every connection and applied before the worker signals
+    frame to every worker and applied before the worker signals
     readiness. *)
 
-val current_config : unit -> worker_config
 val write_config : Unix.file_descr -> unit
 
 type wire_result = (Obj.t, string * string) result
@@ -106,11 +76,8 @@ type up =
   | Cas_put of string * string * string
       (** [(cache, key_digest, payload)]: fire-and-forget publish *)
 
-val serve_worker :
-  in_fd:Unix.file_descr -> out_fd:Unix.file_descr -> ?token:string -> unit -> unit
+val serve_worker : in_fd:Unix.file_descr -> out_fd:Unix.file_descr -> unit
 (** Run the worker side of the protocol on an established channel:
-    verify the parent's auth preamble against [token] (default [""];
-    raises {!Auth_failure} on mismatch, before unmarshalling anything),
     read the config frame, configure the disk cache, install the
     {!Cache.remote_tier} hook that forwards cache misses to the parent
     as [Cas_get]/[Cas_put] frames, emit [magic] + the ready frame,
@@ -121,17 +88,15 @@ val serve_worker :
 
 (** {1 Parent side} *)
 
-val handshake : deadline_s:float -> ?token:string -> Unix.file_descr -> unit
+val handshake : deadline_s:float -> Unix.file_descr -> unit
 (** Scan for [magic] (discarding init noise byte-by-byte) and read the
-    ready frame — which must carry [token] (default [""]) back — all
-    under a deadline. Raises [Failure] or [End_of_file] when the peer
-    is not a live worker holding the same secret. *)
+    ready frame, all under a deadline. Raises [Failure] or
+    [End_of_file] when the peer is not a live worker. *)
 
 type endpoint = {
   ep_send : Unix.file_descr;  (** parent writes down-frames *)
   ep_recv : Unix.file_descr;  (** parent selects/reads up-frames *)
-  ep_kill : unit -> unit;
-      (** force the peer down now (SIGKILL a child, close a socket) *)
+  ep_kill : unit -> unit;  (** force the worker down now (SIGKILL) *)
   ep_close : unit -> unit;
       (** release everything the endpoint holds, gracefully where
           possible; crash paths run [ep_kill] first *)
@@ -153,22 +118,19 @@ type sched
 val make_sched :
   ?retries:int ->
   ?timeout_s:float ->
-  ?steal_after:float ->
   respawn:(int -> endpoint option) ->
   endpoint option array ->
   sched
 (** A scheduler over pre-connected endpoints ([None] slots are workers
     that failed to come up; like crashed workers' slots they are
-    refilled by [respawn] under the backoff below). [retries] (default [2]) bounds how many crashed executions
-    a task absorbs before [Worker_lost]; [timeout_s] kills a worker
-    stuck on one task; [steal_after] (default [1.0]s, clamped to
-    [>= 0.01]) is the in-flight age below which tasks are never
-    duplicated. A [respawn] that returns [None] after a crash is
-    retried from [map] with exponential backoff (1s doubling to 10s)
-    while tasks are pending, so a slot whose worker comes back later
-    (a restarted daemon, a busy daemon finishing its severed task) is
-    recovered instead of silently lost; [respawn] should therefore
-    fail fast rather than block. *)
+    refilled by [respawn] under the backoff below). [retries] (default
+    [2]) bounds how many crashed executions a task absorbs before
+    [Worker_lost]; [timeout_s] kills a worker stuck on one task. A
+    [respawn] that returns [None] after a crash (a fork that failed
+    transiently) is retried from [map] with exponential backoff (1s
+    doubling to 10s) while tasks are pending, so the slot is recovered
+    instead of silently lost; [respawn] should therefore fail fast
+    rather than block. *)
 
 val map : sched -> ('a -> 'b) -> 'a array -> ('b, exn * string) result array
 (** Run [f] over every element on the workers; results in input order.
@@ -177,10 +139,8 @@ val map : sched -> ('a -> 'b) -> 'a array -> ('b, exn * string) result array
     [Error (Worker_lost _, "")]. Corrupt, truncated or garbage frames
     from a worker never raise — they read as that worker crashing. If
     no worker is left alive and none respawns, remaining tasks run on
-    the calling process. Workers still running a duplicated task when
-    the map completes are killed and respawned (their late frames must
-    not leak into the next map) without counting as restarts. Not
-    re-entrant. *)
+    the calling process. Each task runs exactly once unless a worker
+    is lost. Not re-entrant. *)
 
 val shutdown : sched -> unit
 (** Close every endpoint (graceful path). Idempotent. *)
@@ -193,7 +153,7 @@ val store : sched -> Store.t
 (** The scheduler's artifact store — exposed so callers (and tests)
     can pre-seed artifacts workers will fetch by digest. *)
 
-(** {1 Process helpers shared by transports} *)
+(** {1 Process helpers} *)
 
 val close_noerr : Unix.file_descr -> unit
 val kill_noerr : int -> unit

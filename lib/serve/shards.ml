@@ -174,12 +174,12 @@ let snapshot ?pool t ~bin ~retire_s =
   let k = Array.length t.parts in
   let snaps =
     match pool with
-    (* Shard state lives in this process; a Procs or Remote pool would
-       drain out-of-process copies and discard the mutations, so only
-       the domain backend may parallelize here. *)
+    (* Shard state lives in this process; a Procs pool would drain
+       out-of-process copies and discard the mutations, so only the
+       domain backend may parallelize here. *)
     | Some pool when k > 1 && (match Engine.Pool.backend pool with
                               | Engine.Pool.Domains -> true
-                              | Engine.Pool.Procs | Engine.Pool.Remote _ -> false)
+                              | Engine.Pool.Procs -> false)
       ->
         Engine.Pool.map pool
           (fun i -> drain t.wp t.parts.(i) ~bin ~retire_s)

@@ -552,6 +552,91 @@ let test_proc_timeout_replaces_wedged_worker () =
       Alcotest.(check bool) "wedged worker replaced" true
         (Engine.Pool.restarts pool >= 1))
 
+(* (p) The CAS side-channel: a worker that misses an artifact fetches
+   it from the parent's store by digest over its task pipes. The
+   parent store is pre-seeded with the marshalled payload; the task's
+   compute function raises, so only a successful fetch can produce the
+   value. *)
+let with_proc f =
+  let p = Engine.Proc.create ~workers:1 () in
+  Fun.protect ~finally:(fun () -> Engine.Proc.shutdown p) (fun () -> f p)
+
+let test_proc_cas_fetch () =
+  with_proc @@ fun p ->
+  let cache = Engine.Cache.create ~name:"test-proc-cas" ~schema:"v1" () in
+  let payload =
+    Engine.Cache.Private.payload_of_value cache "fetched-over-pipes"
+  in
+  Engine.Transport.Store.put (Engine.Proc.store p) ~cache:"test-proc-cas"
+    ~key_digest:(Engine.Cache.key_digest ("artifact", 7))
+    ~payload;
+  let out =
+    Engine.Proc.map p
+      (fun () ->
+        let c = Engine.Cache.create ~name:"test-proc-cas" ~schema:"v1" () in
+        Engine.Cache.find_or_add c ~key:("artifact", 7) (fun () ->
+            failwith "compute ran: the parent store did not serve the artifact"))
+      [| () |]
+  in
+  match out.(0) with
+  | Ok v ->
+      Alcotest.(check string) "artifact served by digest" "fetched-over-pipes" v
+  | Error (exn, _) -> Alcotest.failf "fetch failed: %s" (Printexc.to_string exn)
+
+(* (q) The publish direction: with no disk tier in the parent, a
+   worker's computed artifact lands in the parent's in-memory store
+   under the cache name and key digest. *)
+let test_proc_cas_publish () =
+  with_proc @@ fun p ->
+  let out =
+    Engine.Proc.map p
+      (fun () ->
+        let c = Engine.Cache.create ~name:"test-proc-pub" ~schema:"v1" () in
+        Engine.Cache.find_or_add c ~key:("published", 1) (fun () ->
+            "made-in-worker"))
+      [| () |]
+  in
+  (match out.(0) with
+  | Ok v -> Alcotest.(check string) "task result" "made-in-worker" v
+  | Error (exn, _) -> Alcotest.failf "task failed: %s" (Printexc.to_string exn));
+  match
+    Engine.Transport.Store.get (Engine.Proc.store p) ~cache:"test-proc-pub"
+      ~key_digest:(Engine.Cache.key_digest ("published", 1))
+  with
+  | None -> Alcotest.fail "worker artifact was not published to the parent"
+  | Some payload ->
+      Alcotest.(check bool) "published payload is non-empty" true
+        (String.length payload > 0)
+
+(* (r) Exactly once unless a worker is lost: with no crash, a task
+   slower than any scheduling age gate still runs once, even while the
+   other worker sits idle. Each execution appends its index to a log
+   file before doing its work. *)
+let test_proc_exactly_once () =
+  Engine.Pool.with_pool ~backend:Engine.Pool.Procs ~jobs:2 (fun pool ->
+      require_procs pool;
+      let log = Filename.temp_file "engine-once" ".log" in
+      Fun.protect ~finally:(fun () ->
+          try Sys.remove log with Sys_error _ -> ())
+      @@ fun () ->
+      let f i =
+        let oc = open_out_gen [ Open_append; Open_wronly ] 0o600 log in
+        Printf.fprintf oc "%d\n" i;
+        close_out oc;
+        if i = 0 then Unix.sleepf 1.2;
+        i
+      in
+      let out = Engine.Pool.map pool f [| 0; 1 |] in
+      Alcotest.(check (array int)) "results" [| 0; 1 |] out;
+      let runs =
+        In_channel.with_open_text log In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> not (String.equal l ""))
+        |> List.sort String.compare
+      in
+      Alcotest.(check (list string)) "each task ran once" [ "0"; "1" ] runs;
+      Alcotest.(check int) "no worker lost" 0 (Engine.Pool.restarts pool))
+
 let suite =
   [
     Alcotest.test_case "parallel = serial on an experiment grid" `Slow
@@ -585,4 +670,10 @@ let suite =
       test_proc_remote_failure;
     Alcotest.test_case "procs backend times out a wedged worker" `Quick
       test_proc_timeout_replaces_wedged_worker;
+    Alcotest.test_case "workers fetch artifacts from the parent store" `Quick
+      test_proc_cas_fetch;
+    Alcotest.test_case "workers publish artifacts to the parent store" `Quick
+      test_proc_cas_publish;
+    Alcotest.test_case "procs backend runs each task exactly once" `Quick
+      test_proc_exactly_once;
   ]

@@ -3,16 +3,6 @@
    exit before Alcotest parses argv. *)
 let () = Engine.Proc.maybe_run_worker ()
 
-(* Test-local entry for the TCP fleet tests: Test_remote starts
-   loopback worker daemons by re-invoking this binary with
-   [Test_remote.daemon_flag BIND PORT]. *)
-let () =
-  match Sys.argv with
-  | [| _; flag; bind; port |] when String.equal flag Test_remote.daemon_flag ->
-      (* [?token:None]: the daemon's secret comes from its environment. *)
-      Engine.Remote.serve_forever ~bind ?token:None ~port:(int_of_string port)
-  | _ -> ()
-
 let () =
   Alcotest.run "tiered-pricing"
     [
@@ -60,7 +50,6 @@ let () =
       ("tiered.experiment", Test_experiment.suite);
       ("engine", Test_engine.suite);
       ("engine.transport", Test_transport.suite);
-      ("engine.remote", Test_remote.suite);
       ("engine.manifest", Test_manifest.suite);
       ("golden", Test_golden.suite);
       ("flowgen.loading", Test_loading.suite);

@@ -1,4 +1,4 @@
-(* Engine.Transport: the shared worker-transport scheduler, driven
+(* Engine.Transport: the worker-pipe scheduler, driven
    through fake endpoints so every protocol failure mode is exercised
    deterministically and in-process.
 
@@ -62,7 +62,7 @@ let map_against ?timeout_s ~retries ~spares up_bytes =
         Some f.f_ep
   in
   let sched =
-    Engine.Transport.make_sched ~retries ?timeout_s ~steal_after:30. ~respawn
+    Engine.Transport.make_sched ~retries ?timeout_s ~respawn
       [| Some (List.hd !fakes).f_ep |]
   in
   let finally () =
@@ -181,7 +181,7 @@ let test_handshake_resync_and_deadline () =
   Unix.close w
 
 (* (f) Frame IO round-trip, including the empty frame and one bigger
-   than a pipe buffer. A regular file stands in for the socket — a
+   than a pipe buffer. A regular file stands in for the pipe — a
    single-threaded test writing 70 kB into its own unread pipe would
    deadlock on the pipe buffer, and forking a writer child is off the
    table once earlier suites have spawned domains. *)
@@ -209,89 +209,7 @@ let test_frame_roundtrip () =
           | _ -> Alcotest.fail "read_frame past EOF returned"
           | exception End_of_file -> ()))
 
-(* (g) The shared-secret preamble: a peer presenting the wrong token —
-   or a hostile length header in place of one — is rejected before any
-   frame is unmarshalled (task frames carry closures, so this gate is
-   what stands between an open port and code execution); the right
-   token proceeds to the magic/ready handshake, which carries the
-   token back so the parent authenticates the worker too. *)
-let test_auth_preamble () =
-  let serve ~preload ~token =
-    let in_r, in_w = Unix.pipe ~cloexec:true () in
-    let out_r, out_w = Unix.pipe ~cloexec:true () in
-    preload in_w;
-    Unix.close in_w;
-    let result =
-      match Engine.Transport.serve_worker ~in_fd:in_r ~out_fd:out_w ~token () with
-      | () -> Ok ()
-      | exception exn -> Error exn
-    in
-    Unix.close in_r;
-    Unix.close out_w;
-    (result, out_r)
-  in
-  (* Wrong token: rejected, nothing written back. *)
-  let result, out_r =
-    serve
-      ~preload:(fun fd -> Engine.Transport.write_auth fd ~token:"wrong")
-      ~token:"s3cret"
-  in
-  (match result with
-  | Ok _ -> Alcotest.fail "serve_worker accepted a wrong token"
-  | Error Engine.Transport.Auth_failure -> ()
-  | Error exn ->
-      Alcotest.failf "expected Auth_failure, got %s" (Printexc.to_string exn));
-  Unix.close out_r;
-  (* A huge length header where the token frame should be: same
-     rejection, and crucially no giant allocation or unmarshalling. *)
-  let result, out_r =
-    serve
-      ~preload:(fun fd ->
-        let hdr = Bytes.create 8 in
-        Bytes.set_int32_be hdr 0 0x7fff_ffffl;
-        let n = Unix.write fd hdr 0 8 in
-        Alcotest.(check int) "hostile header preloaded" 8 n)
-      ~token:"s3cret"
-  in
-  (match result with
-  | Ok _ -> Alcotest.fail "serve_worker accepted a hostile auth header"
-  | Error Engine.Transport.Auth_failure -> ()
-  | Error exn ->
-      Alcotest.failf "expected Auth_failure, got %s" (Printexc.to_string exn));
-  Unix.close out_r;
-  (* Right token: the worker serves (EOF after config ends the loop)
-     and its ready frame authenticates back under the same token. *)
-  let result, out_r =
-    serve
-      ~preload:(fun fd ->
-        Engine.Transport.write_auth fd ~token:"s3cret";
-        Engine.Transport.write_config fd)
-      ~token:"s3cret"
-  in
-  (match result with
-  | Ok _ -> ()
-  | Error exn ->
-      Alcotest.failf "right token rejected: %s" (Printexc.to_string exn));
-  Engine.Transport.handshake ~deadline_s:5.0 ~token:"s3cret" out_r;
-  Unix.close out_r;
-  (* And a parent expecting a different token rejects that worker. *)
-  let result, out_r =
-    serve
-      ~preload:(fun fd ->
-        Engine.Transport.write_auth fd ~token:"s3cret";
-        Engine.Transport.write_config fd)
-      ~token:"s3cret"
-  in
-  (match result with
-  | Ok _ -> ()
-  | Error exn ->
-      Alcotest.failf "right token rejected: %s" (Printexc.to_string exn));
-  (match Engine.Transport.handshake ~deadline_s:5.0 ~token:"other" out_r with
-  | () -> Alcotest.fail "handshake accepted a worker holding another token"
-  | exception (Failure _ | End_of_file) -> ());
-  Unix.close out_r
-
-(* (h) The parent-side store: in-memory fallback round-trips, and with
+(* (g) The parent-side store: in-memory fallback round-trips, and with
    a disk tier configured it is backed by the content-addressed
    store — a payload published under one cache dedups into the same
    object another cache's digest lookup finds. *)
@@ -319,7 +237,5 @@ let suite =
                         deadline"
       `Quick test_handshake_resync_and_deadline;
     Alcotest.test_case "frame IO round-trips" `Quick test_frame_roundtrip;
-    Alcotest.test_case "auth preamble gates the protocol" `Quick
-      test_auth_preamble;
     Alcotest.test_case "artifact store round-trips" `Quick test_store_roundtrip;
   ]
