@@ -6,7 +6,7 @@
    tiered-cli evaluate NETWORK [--demand ced|logit] [--cost MODEL]
        [--theta T] [--bundles B] [--strategy S] ...
    tiered-cli sweep NETWORK --param alpha|p0|s0 [--strategy S] [--jobs N]
-       [--manifest FILE]
+       [--cache]
    tiered-cli serve NETWORK [--days D] [--every SECONDS] [--decay KIND] ...
 
    Grid-shaped commands (run, sweep) execute on the Engine pool:
@@ -15,10 +15,11 @@
    results are merged in submission order, so any --jobs/--backend
    combination prints byte-identical output) and
    --cache persists calibrated workloads / fitted markets in the
-   content-addressed store under _cas/ across invocations. `sweep
-   --manifest FILE` additionally records the grid and each completed
-   cell's artifact digest, so an interrupted sweep resumes computing
-   only the cells whose artifacts the store is missing. *)
+   content-addressed store under _cas/ across invocations. The store
+   is also what makes a sweep resumable: with --cache each sweep cell
+   is stored the moment it finishes, so a rerun after an interruption
+   restores the finished cells and computes only the rest (it reports
+   how many of each on stderr). *)
 
 open Cmdliner
 open Tiered
@@ -327,38 +328,8 @@ let sweep_cmd =
          & opt (some (enum [ ("alpha", `Alpha); ("p0", `P0); ("s0", `S0) ])) None
          & info [ "param" ] ~docv:"P" ~doc:"Parameter to sweep: alpha, p0 or s0.")
   in
-  let manifest_arg =
-    Arg.(value & opt (some string) None
-         & info [ "manifest" ] ~docv:"FILE"
-             ~doc:"Write (or resume) a sweep manifest at $(docv): a \
-                   deterministic grid file naming every cell with its input \
-                   digest, appended with each completed cell's artifact \
-                   digest. On re-invocation only cells whose artifacts are \
-                   missing from the content-addressed store are scheduled; \
-                   the assembled table is byte-identical to an uninterrupted \
-                   serial run. Implies --cache.")
-  in
-  let manifest_chunk_arg =
-    (* Validated at parse time: a negative K must be a CLI error, not
-       silently read as "no chunk limit". *)
-    let nonneg_int =
-      let parse s =
-        match int_of_string_opt s with
-        | Some k when k >= 0 -> Ok k
-        | Some _ -> Error (`Msg "--manifest-chunk must be >= 0")
-        | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt (some nonneg_int) None
-         & info [ "manifest-chunk" ] ~docv:"K"
-             ~doc:"With --manifest: compute at most $(docv) missing cells \
-                   this invocation, then stop (without printing the table \
-                   unless the grid completed). Lets a long sweep run as a \
-                   sequence of resumable slices.")
-  in
   let run network demand s0 strategy param backend retries timeout_s jobs
-      cache cache_max_bytes manifest chunk =
+      cache cache_max_bytes =
     enable_cache cache cache_max_bytes;
     let values, fit =
       match param with
@@ -374,7 +345,9 @@ let sweep_cmd =
     in
     (* One grid cell per swept value: fit + capture across the bundle
        counts. Cells are independent, so they go through the pool;
-       rows come back in value order regardless of jobs or backend. *)
+       rows come back in value order regardless of jobs or backend.
+       With --cache each finished cell is in the store at once, so an
+       interrupted sweep reruns only the cells it had not finished. *)
     let compute v =
       let market = fit v in
       Report.cell_f v
@@ -384,107 +357,36 @@ let sweep_cmd =
                (Sensitivity.capture_at market strategy ~n_bundles:b))
            Experiment.Defaults.bundle_counts
     in
-    let map_cells f cells =
-      Engine.Pool.with_pool ~backend ~retries ?timeout_s ~jobs (fun pool ->
-          Engine.Pool.map_list pool f cells)
+    let param_name =
+      match param with `Alpha -> "alpha" | `P0 -> "p0" | `S0 -> "s0"
     in
-    let print_table rows =
-      Report.print ppf
-        (Report.make
-           ~title:(Printf.sprintf "capture on %s while sweeping the parameter" network)
-           ~header:("value" :: List.map string_of_int Experiment.Defaults.bundle_counts)
-           rows)
+    let demand_name =
+      match demand with `Ced -> "ced" | `Logit -> "logit" | `Linear -> "linear"
     in
-    match manifest with
-    | None -> print_table (map_cells compute values)
-    | Some path ->
-        (* The artifact store is the resume source of truth, so the
-           disk tier must be on even without --cache. *)
-        if Engine.Cache.disk_dir () = None then
-          Engine.Cache.enable_disk ?max_bytes:cache_max_bytes ~dir:"_cas" ();
-        let artifacts =
-          Engine.Cache.create ~name:"sweep-cell" ~schema:"sweep-cell/1" ()
-        in
-        let param_name =
-          match param with `Alpha -> "alpha" | `P0 -> "p0" | `S0 -> "s0"
-        in
-        let demand_name =
-          match demand with `Ced -> "ced" | `Logit -> "logit" | `Linear -> "linear"
-        in
-        (* Everything that determines a cell's bytes, in one key. *)
-        let cell_key v =
-          ( "sweep-cell", network, demand_name, s0, Strategy.name strategy,
-            param_name, v, Experiment.Defaults.bundle_counts )
-        in
-        let cells =
-          List.mapi
-            (fun i v ->
-              { Engine.Manifest.index = i;
-                name = Printf.sprintf "%s=%.12g" param_name v;
-                input_digest = Engine.Cache.key_digest (cell_key v) })
-            values
-        in
-        let m =
-          match Engine.Manifest.load_or_create ~path cells with
-          | m -> m
-          | exception Failure msg ->
-              Format.eprintf "sweep: %s@." msg;
-              exit 1
-        in
-        Fun.protect ~finally:(fun () -> Engine.Manifest.close m) @@ fun () ->
-        let varr = Array.of_list values in
-        let restored =
-          Array.map (fun v -> Engine.Cache.disk_get artifacts ~key:(cell_key v))
-            varr
-        in
-        Array.iteri
-          (fun i r ->
-            match r with
-            | Some (_, digest) ->
-                Engine.Manifest.record_done m ~index:i ~artifact:digest
-            | None -> ())
-          restored;
-        let missing =
-          List.filter_map
-            (fun i -> if restored.(i) = None then Some (i, varr.(i)) else None)
-            (List.init (Array.length varr) Fun.id)
-        in
-        let scheduled =
-          match chunk with
-          | Some k -> List.filteri (fun j _ -> j < k) missing
-          | None -> missing
-        in
-        let computed =
-          match scheduled with
-          | [] -> []
-          | scheduled -> map_cells (fun (_, v) -> compute v) scheduled
-        in
-        List.iter2
-          (fun (i, v) row ->
-            match Engine.Cache.disk_put artifacts ~key:(cell_key v) row with
-            | Some digest ->
-                Engine.Manifest.record_done m ~index:i ~artifact:digest
-            | None -> ())
-          scheduled computed;
-        let n = Array.length varr in
-        let n_restored = n - List.length missing in
-        let n_computed = List.length scheduled in
-        let n_remaining = List.length missing - n_computed in
-        Format.eprintf
-          "manifest %s: %d cells, %d restored from the store, %d computed, \
-           %d remaining@."
-          path n n_restored n_computed n_remaining;
-        if n_remaining = 0 then begin
-          let rows = Array.map (fun r -> Option.map fst r) restored in
-          List.iter2 (fun (i, _) row -> rows.(i) <- Some row) scheduled computed;
-          print_table (List.filter_map Fun.id (Array.to_list rows))
-        end
+    (* Everything that determines a cell's bytes, in one key. *)
+    let key v =
+      ( "sweep-cell", network, demand_name, s0, Strategy.name strategy,
+        param_name, v, Experiment.Defaults.bundle_counts )
+    in
+    let rows, computed =
+      Runner.sweep ~backend ~retries ?timeout_s ~jobs ~key ~compute values
+    in
+    if Engine.Cache.disk_dir () <> None then begin
+      let n = List.length values in
+      Format.eprintf "sweep: %d cells, %d restored from the store, %d computed@."
+        n (n - computed) computed
+    end;
+    Report.print ppf
+      (Report.make
+         ~title:(Printf.sprintf "capture on %s while sweeping the parameter" network)
+         ~header:("value" :: List.map string_of_int Experiment.Defaults.bundle_counts)
+         rows)
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep a model parameter and tabulate profit capture.")
     Term.(const run $ network_arg $ demand_arg $ s0_arg $ strategy_arg $ param_arg
           $ backend_arg $ worker_retries_arg $ task_timeout_arg $ jobs_arg
-          $ cache_arg $ cache_max_bytes_arg $ manifest_arg $ manifest_chunk_arg)
+          $ cache_arg $ cache_max_bytes_arg)
 
 (* --- trace ----------------------------------------------------------------------- *)
 

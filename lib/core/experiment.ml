@@ -16,7 +16,8 @@ end
    schedules *cells* on the domain pool, so one slow figure no longer
    pins a whole domain; because cells are listed and assembled in
    submission order, the output stays byte-identical at any job count.
-   Scalar experiments fall back to a single cell wrapping [run]. *)
+   Scalar experiments fall back to a single cell wrapping their whole
+   computation. *)
 
 type cell_output =
   | Rows of string list list
@@ -28,7 +29,6 @@ type cell = { label : string; compute : unit -> cell_output }
 type t = {
   id : string;
   description : string;
-  run : unit -> Report.t list;
   cells : unit -> cell list;
   assemble : cell_output list -> Report.t list;
 }
@@ -43,7 +43,6 @@ let scalar ~id ~description run =
   {
     id;
     description;
-    run;
     cells = (fun () -> [ { label = id; compute = (fun () -> Tables (run ())) } ]);
     assemble =
       (function
@@ -145,7 +144,6 @@ let table1 =
   {
     id = "table1";
     description = "data-set statistics vs paper targets";
-    run = (fun () -> [ table1_table (List.map table1_row Defaults.networks) ]);
     cells =
       (fun () ->
         List.map
@@ -333,19 +331,8 @@ let capture_row ?alpha ?p0 ~spec network b =
 
 let capture_header ~spec = "bundles" :: List.map Strategy.name (strategy_columns spec)
 
-let capture_table ?alpha ?p0 ~spec ~title ~bundle_counts network =
-  Report.make ~title ~header:(capture_header ~spec)
-    (List.map (capture_row ?alpha ?p0 ~spec network) bundle_counts)
-
 let capture_experiment ?alpha ?p0 ~id ~description ~title_of ~spec ~networks
     ~bundle_counts () =
-  let run () =
-    List.map
-      (fun network ->
-        capture_table ?alpha ?p0 ~spec ~title:(title_of network) ~bundle_counts
-          network)
-      networks
-  in
   let cells () =
     List.concat_map
       (fun network ->
@@ -368,7 +355,7 @@ let capture_experiment ?alpha ?p0 ~id ~description ~title_of ~spec ~networks
         Report.make ~title:(title_of network) ~header:(capture_header ~spec) rows)
       networks per_network
   in
-  { id; description; run; cells; assemble }
+  { id; description; cells; assemble }
 
 let fig8 =
   capture_experiment ~id:"fig8" ~description:"bundling strategies, CED demand"
@@ -415,13 +402,6 @@ let theta_header ~thetas =
 
 let theta_notes = [ "normalized to the largest profit headroom across theta settings" ]
 
-let theta_table ~spec ~strategy ~cost_of_theta ~thetas ~title network =
-  Report.make ~title ~header:(theta_header ~thetas)
-    (List.map
-       (theta_row ~spec ~strategy ~cost_of_theta ~thetas network)
-       Defaults.bundle_counts)
-    ~notes:theta_notes
-
 let cost_model_experiment ~id ~description ~figure ~model_name ~cost_of_theta
     ~thetas ~strategy =
   let specs = [ Market.Ced; logit_spec ] in
@@ -429,13 +409,6 @@ let cost_model_experiment ~id ~description ~figure ~model_name ~cost_of_theta
   let title spec =
     Printf.sprintf "Figure %s (EU ISP, %s demand): %s cost model" figure
       (spec_name spec) model_name
-  in
-  let run () =
-    List.map
-      (fun spec ->
-        theta_table ~spec ~strategy ~cost_of_theta ~thetas ~title:(title spec)
-          network)
-      specs
   in
   let cells () =
     List.concat_map
@@ -461,7 +434,7 @@ let cost_model_experiment ~id ~description ~figure ~model_name ~cost_of_theta
           ~notes:theta_notes)
       specs per_spec
   in
-  { id; description; run; cells; assemble }
+  { id; description; cells; assemble }
 
 let fig10 =
   cost_model_experiment ~id:"fig10" ~description:"linear cost model sensitivity"
@@ -498,22 +471,6 @@ let sweep_column ~mode ~markets_of_network spec network =
 let sweep_experiment ~id ~description ~title ~mode ~markets_of_network specs =
   let spec_title spec = Printf.sprintf "%s (%s demand)" title (spec_name spec) in
   let header = "bundles" :: Defaults.networks in
-  let run () =
-    List.map
-      (fun spec ->
-        let columns =
-          List.map (sweep_column ~mode ~markets_of_network spec) Defaults.networks
-        in
-        let rows =
-          List.mapi
-            (fun i b ->
-              int_cell b
-              :: List.map (fun col -> Report.cell_f (snd (List.nth col i))) columns)
-            Defaults.bundle_counts
-        in
-        Report.make ~title:(spec_title spec) ~header rows)
-      specs
-  in
   let cells () =
     List.concat_map
       (fun spec ->
@@ -546,7 +503,7 @@ let sweep_experiment ~id ~description ~title ~mode ~markets_of_network specs =
         Report.make ~title:(spec_title spec) ~header rows)
       specs per_spec
   in
-  { id; description; run; cells; assemble }
+  { id; description; cells; assemble }
 
 let fig14 =
   let alphas = Sensitivity.alpha_range ~steps:6 ~lo:1.1 ~hi:10. () in

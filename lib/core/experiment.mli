@@ -11,13 +11,13 @@
     Grid-shaped experiments additionally expose their internal grid as
     a {e cell plan}: [cells ()] lists independent sub-computations (one
     per [(network, spec, bundle-count)]-style grid cell) and [assemble]
-    is a pure fold of the cell outputs back into the same report list
-    that [run] produces. {!Runner.run_experiments} schedules cells (not
-    whole experiments) on the domain pool; because cells are listed and
+    is a pure fold of the cell outputs back into the experiment's
+    report list. {!Runner.run_experiments} schedules cells (not whole
+    experiments) on the domain pool; because cells are listed and
     assembled in submission order, output is byte-identical at any job
-    count — [run_cells e = e.run ()] always, which the property suite
-    checks on random parameters. Scalar experiments use a one-cell
-    fallback ({!scalar}). *)
+    count — the pooled run equals {!run_cells}, which the property
+    suite checks on random parameters. Scalar experiments use a
+    one-cell fallback ({!scalar}). *)
 
 type cell_output =
   | Rows of string list list
@@ -32,14 +32,13 @@ type cell = {
 type t = {
   id : string;  (** e.g. ["fig8"], ["table1"]. *)
   description : string;
-  run : unit -> Report.t list;  (** The direct (serial) path. *)
   cells : unit -> cell list;
       (** The cell-level plan, in deterministic grid order. Cheap: cells
           close over parameters, the expensive work happens in
           [compute]. *)
   assemble : cell_output list -> Report.t list;
       (** Pure fold of the cell outputs (in [cells ()] order) into the
-          experiment's tables; byte-identical to [run ()]. *)
+          experiment's tables. *)
 }
 
 val all : t list
@@ -50,8 +49,8 @@ val find : string -> t
 (** Raises [Not_found]. *)
 
 val run_cells : t -> Report.t list
-(** [assemble (List.map compute (cells ()))] — the decomposed serial
-    path; always equals [run ()]. *)
+(** [assemble (List.map compute (cells ()))] — the serial path, on the
+    calling domain. *)
 
 val scalar : id:string -> description:string -> (unit -> Report.t list) -> t
 (** The one-cell fallback for experiments without a grid shape. *)

@@ -92,6 +92,31 @@ let run_experiments ?backend ?retries ?timeout_s ?jobs ?metrics experiments =
     metrics;
   Array.to_list results
 
+(* One cache for every sweep's rows. It is created on first use, in
+   the calling domain before any task runs, so domain workers only read
+   the forced value; a worker process forces its own copy. A closure
+   shipped to a worker process refers to it as a global, so it is never
+   marshalled. *)
+let sweep_cells : string list Engine.Cache.t Lazy.t =
+  lazy (Engine.Cache.create ~name:"sweep-cell" ~schema:"sweep-cell/1" ())
+
+let sweep ?backend ?retries ?timeout_s ?jobs ~key ~compute values =
+  ignore (Lazy.force sweep_cells : string list Engine.Cache.t);
+  let cell v =
+    let computed = ref false in
+    let row =
+      Engine.Cache.find_or_add (Lazy.force sweep_cells) ~key:(key v) (fun () ->
+          computed := true;
+          compute v)
+    in
+    (row, !computed)
+  in
+  let outcomes =
+    Engine.Pool.with_pool ?backend ?retries ?timeout_s ?jobs (fun pool ->
+        Engine.Pool.map_list pool cell values)
+  in
+  (List.map fst outcomes, List.length (List.filter snd outcomes))
+
 let render results =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in

@@ -41,6 +41,26 @@ val run_experiments :
     surfaces as {!Engine.Pool.Task_failed} with the lowest failing
     cell index. *)
 
+val sweep :
+  ?backend:Engine.Pool.backend ->
+  ?retries:int ->
+  ?timeout_s:float ->
+  ?jobs:int ->
+  key:('v -> 'k) ->
+  compute:('v -> string list) ->
+  'v list ->
+  string list list * int
+(** A one-dimensional parameter grid: one pool task per value, each
+    running [compute] inside {!Engine.Cache.find_or_add} on the
+    ["sweep-cell"] cache under [key v] (everything that determines the
+    row). Returns the rows in value order and the number of cells whose
+    [compute] ran. With the disk tier on, a cell's row is in the
+    content-addressed store as soon as the cell finishes, on either
+    backend, so a rerun after an interruption (or after a cell raised)
+    restores the finished cells and computes only the rest. A raising
+    cell surfaces as {!Engine.Pool.Task_failed} once every other cell
+    has run. Pool options are as for {!run_experiments}. *)
+
 val render : result list -> string
 (** Every table of every result printed with {!Report.print}, in
     order — the canonical byte-comparable form of a run. *)

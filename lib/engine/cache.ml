@@ -284,19 +284,18 @@ let ensure_dir dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
 
 (* Store raw payload bytes and point [cache]/[key_digest] at the
-   resulting object. Returns the object (content) digest. *)
-let disk_write_payload ~cache key_digest payload =
+   resulting object; a no-op when the disk tier is off. *)
+let store_raw_payload ~cache ~key_digest ~payload =
   match disk_dir () with
-  | None -> None
+  | None -> ()
   | Some dir -> (
       ensure_dir dir;
       match Cas.write_object ~dir ~payload with
-      | None -> None
+      | None -> ()
       | Some od ->
           Cas.write_ref ~dir ~cache ~key_digest ~digest:od;
           touch ~dir (Cas.object_path ~dir od);
-          enforce_budget ();
-          Some od)
+          enforce_budget ())
 
 (* Raw payload bytes under a key, if both the reference and a
    digest-verified object exist. *)
@@ -314,18 +313,10 @@ let raw_payload ~cache ~key_digest =
               touch ~dir (Cas.object_path ~dir od);
               Some payload))
 
-let store_raw_payload ~cache ~key_digest ~payload =
-  ignore (disk_write_payload ~cache key_digest payload : string option)
-
 let disk_read t digest =
   match raw_payload ~cache:t.name ~key_digest:digest with
   | None -> None
   | Some payload -> of_payload t payload
-
-let disk_write t digest v =
-  match payload_of t v with
-  | None -> None
-  | Some payload -> disk_write_payload ~cache:t.name digest payload
 
 let disk_remove t digest =
   (* Only the reference goes: the object may be shared with other keys
@@ -344,17 +335,8 @@ let disk_remove t digest =
 let remote_read t digest =
   match remote_tier () with
   | None -> None
-  | Some rt -> (
-      match rt.fetch ~cache:t.name ~key_digest:digest with
-      | None -> None
-      | Some payload -> (
-          match of_payload t payload with
-          | Some v ->
-              (* Adopt the artifact locally so later lookups (and the
-                 LRU budget) see it without another round-trip. *)
-              ignore (disk_write_payload ~cache:t.name digest payload : string option);
-              Some v
-          | None -> None))
+  | Some rt ->
+      Option.bind (rt.fetch ~cache:t.name ~key_digest:digest) (of_payload t)
 
 let remote_publish t digest payload =
   match remote_tier () with
@@ -364,27 +346,6 @@ let remote_publish t digest payload =
          worker its pipes; the computed value is still good. *)
       try rt.publish ~cache:t.name ~key_digest:digest ~payload
       with End_of_file | Unix.Unix_error _ | Sys_error _ -> ())
-
-(* --- manifest support ----------------------------------------------------- *)
-
-let disk_get t ~key =
-  match disk_dir () with
-  | None -> None
-  | Some dir -> (
-      let kd = key_digest key in
-      match Cas.read_ref ~dir ~cache:t.name ~key_digest:kd with
-      | None -> None
-      | Some od -> (
-          match Cas.read_object ~dir od with
-          | None -> None
-          | Some payload -> (
-              match of_payload t payload with
-              | Some v ->
-                  touch ~dir (Cas.object_path ~dir od);
-                  Some (v, od)
-              | None -> None)))
-
-let disk_put t ~key v = disk_write t (key_digest key) v
 
 (* --- lookup -------------------------------------------------------------- *)
 
@@ -445,9 +406,7 @@ let find_or_add t ~key compute =
           (match payload_of t v with
           | None -> ()
           | Some payload ->
-              ignore
-                (disk_write_payload ~cache:t.name digest payload
-                  : string option);
+              store_raw_payload ~cache:t.name ~key_digest:digest ~payload;
               remote_publish t digest payload);
           v
       | Ok (v, (`Disk | `Remote)) -> v

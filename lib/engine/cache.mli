@@ -24,6 +24,15 @@
       {!remote_tier} hook that forwards misses to the parent process
       over the worker's task pipes and publishes fresh artifacts back,
       so a cell computed in one worker is never recomputed in another.
+      Workers have no disk tier of their own: the parent answers from
+      (and writes to) its disk tier, so it is the only process of a
+      run that touches the store's directory.
+
+    With the disk tier on, the store is also the resume record of an
+    interrupted grid: every artifact is written the moment its
+    computation returns, so a rerun restores it instead of computing
+    it again. A parameter sweep stores each of its cells this way,
+    so an interrupted sweep loses only the cells in flight.
 
     The disk tier is off by default and switched on globally with
     {!enable_disk} (the CLI's [--cache] flag). Corrupt or unreadable
@@ -146,20 +155,6 @@ val raw_payload : cache:string -> key_digest:string -> string option
 val store_raw_payload : cache:string -> key_digest:string -> payload:string -> unit
 (** Store payload bytes under their content digest and point the key
     at them. No-op when the disk tier is off. *)
-
-(** {2 Manifest support}
-
-    Direct disk-tier probes used by resumable sweep manifests: decide
-    whether a cell's artifact is already in the CAS without running
-    the compute path (no counters are touched). *)
-
-val disk_get : 'v t -> key:'k -> ('v * string) option
-(** The artifact and its content digest, when the disk tier holds a
-    schema-valid payload for [key]. *)
-
-val disk_put : 'v t -> key:'k -> 'v -> string option
-(** Write an artifact for [key]; returns its content digest ([None]
-    when the disk tier is off or the write failed). *)
 
 (** {2 Test hooks} *)
 

@@ -53,7 +53,6 @@ let spawn_endpoint () =
       Transport.close_noerr task_r;
       Transport.close_noerr res_w;
       try
-        Transport.write_config task_w;
         Transport.handshake ~deadline_s:10.0 res_r;
         {
           Transport.ep_send = task_w;

@@ -28,9 +28,9 @@
     caches start empty in every worker. Workers share artifacts through
     the parent: a cache miss in a worker is fetched by digest from the
     parent's {!store} over the task pipes, and fresh artifacts are
-    published back (the {!Cache} remote tier). The parent's disk cache
-    configuration is forwarded to each worker during the spawn
-    handshake.
+    published back (the {!Cache} remote tier). Workers have no disk
+    tier of their own: the parent reads and writes the content-addressed
+    store for them, so it is the only process that touches it.
 
     Each task runs exactly once unless a worker is lost: a task
     interrupted by a crash or timeout is re-executed, so tasks must be
@@ -68,8 +68,8 @@ val worker_flag : string
 
 val maybe_run_worker : unit -> unit
 (** If [Sys.argv] carries {!worker_flag}, become a worker: enable
-    backtrace recording, apply the parent's disk-cache configuration,
-    serve task frames from stdin until EOF, then [exit 0]. Never
+    backtrace recording, serve task frames from stdin until EOF, then
+    [exit 0]. Never
     returns in that case. Must be the first statement of [main] in
     every executable that may create a subprocess pool. *)
 

@@ -2,13 +2,12 @@
 
    Wire protocol (both directions): length-prefixed Marshal frames —
    a 4-byte big-endian payload length followed by the payload bytes.
-   Frames from parent to worker:
-     1. one config frame (plain Marshal): the parent's disk-cache
-        configuration, applied before the worker signals readiness;
-     2. [down] frames: tasks ([(index, thunk)] marshalled with
-        [Marshal.Closures] — valid because worker and parent run the
-        same executable image, which the unmarshaller checks against
-        the code-segment digest) and CAS-fetch replies.
+   Frames from parent to worker are [down] frames: tasks
+   ([(index, thunk)] marshalled with [Marshal.Closures] — valid
+   because worker and parent run the same executable image, which the
+   unmarshaller checks against the code-segment digest) and CAS-fetch
+   replies. Workers carry no disk-cache configuration: their artifact
+   traffic goes through the parent's {!Store}.
    Frames from worker to parent:
      1. a magic byte-string, then one "ready" handshake frame (this is
         also how spawn failures are detected: a worker that dies
@@ -108,8 +107,6 @@ let magic = "\001\253tiered-engine-worker\253\002"
 
 (* --- wire frames ----------------------------------------------------------- *)
 
-type worker_config = { disk_dir : string option; disk_max : int option }
-
 (* A worker-side task outcome. The value travels as [Obj.t] (the
    parent knows the real type); exceptions travel as printed strings
    because exception identity does not survive unmarshalling. *)
@@ -124,11 +121,6 @@ type up =
   | Result of int * wire_result
   | Cas_get of string * string
   | Cas_put of string * string * string
-
-let current_config () =
-  { disk_dir = Cache.disk_dir (); disk_max = Cache.disk_max_bytes () }
-
-let write_config fd = write_frame fd (Marshal.to_string (current_config ()) [])
 
 (* --- process helpers ------------------------------------------------------- *)
 
@@ -162,13 +154,10 @@ let reap_with_grace pid =
 (* --- worker side ----------------------------------------------------------- *)
 
 let serve_worker ~in_fd ~out_fd =
-  let config : worker_config = Marshal.from_string (read_frame in_fd) 0 in
-  (match config.disk_dir with
-  | Some dir -> Cache.enable_disk ?max_bytes:config.disk_max ~dir ()
-  | None -> Cache.disable_disk ());
   (* Route cache misses through the parent: the parent answers from its
      CAS (or its in-memory artifact store), so a cell computed by one
-     worker is never recomputed by another. *)
+     worker is never recomputed by another, and only the parent touches
+     the disk tier. *)
   Cache.set_remote_tier
     (Some
        {

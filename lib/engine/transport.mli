@@ -55,13 +55,6 @@ val magic : string
 
 (** {1 Worker side} *)
 
-type worker_config = { disk_dir : string option; disk_max : int option }
-(** The parent's disk-cache configuration, forwarded in the first
-    frame to every worker and applied before the worker signals
-    readiness. *)
-
-val write_config : Unix.file_descr -> unit
-
 type wire_result = (Obj.t, string * string) result
 
 type down =
@@ -78,9 +71,10 @@ type up =
 
 val serve_worker : in_fd:Unix.file_descr -> out_fd:Unix.file_descr -> unit
 (** Run the worker side of the protocol on an established channel:
-    read the config frame, configure the disk cache, install the
-    {!Cache.remote_tier} hook that forwards cache misses to the parent
-    as [Cas_get]/[Cas_put] frames, emit [magic] + the ready frame,
+    install the {!Cache.remote_tier} hook that forwards cache misses to
+    the parent as [Cas_get]/[Cas_put] frames (the worker has no disk
+    tier; the parent's {!Store} is its only store), emit [magic] + the
+    ready frame,
     then serve task frames until EOF (returns normally; the caller
     decides the exit). The remote-tier hook is uninstalled on the way
     out. Callers must route stray stdout away from [out_fd] first when

@@ -208,7 +208,7 @@ let test_cache_truncated_payload_is_miss () =
   Alcotest.(check int) "zero-byte payload recomputed" 3 !calls
 
 (* (g) A synthetic experiment of 100 micro-cells merges identically
-   through the Runner at jobs=1/2/8, and matches both direct paths. *)
+   through the Runner at jobs=1/2/8, into the table its rows make. *)
 let test_runner_micro_cells () =
   let n = 100 in
   let row i = [ Printf.sprintf "cell%02d" i; string_of_int ((i * 37) mod 101) ] in
@@ -216,12 +216,6 @@ let test_runner_micro_cells () =
     {
       Experiment.id = "micro100";
       description = "synthetic 100-cell grid";
-      run =
-        (fun () ->
-          [
-            Report.make ~title:"micro" ~header:[ "cell"; "value" ]
-              (List.init n row);
-          ]);
       cells =
         (fun () ->
           List.init n (fun i ->
@@ -241,11 +235,12 @@ let test_runner_micro_cells () =
           [ Report.make ~title:"micro" ~header:[ "cell"; "value" ] rows ]);
     }
   in
-  Alcotest.(check bool)
-    "decomposed serial path = direct path" true
-    (Experiment.run_cells micro = micro.Experiment.run ());
   let render jobs = Runner.render (Runner.run_experiments ~jobs [ micro ]) in
   let r1 = render 1 in
+  Alcotest.(check bool)
+    "serial cells = the table built directly" true
+    (Experiment.run_cells micro
+    = [ Report.make ~title:"micro" ~header:[ "cell"; "value" ] (List.init n row) ]);
   Alcotest.(check string) "jobs=2 merges identically" r1 (render 2);
   Alcotest.(check string) "jobs=8 merges identically" r1 (render 8)
 
@@ -608,6 +603,37 @@ let test_proc_cas_publish () =
       Alcotest.(check bool) "published payload is non-empty" true
         (String.length payload > 0)
 
+(* (q') Only the parent touches the disk tier: a worker spawned while
+   the parent's tier is on has none of its own, and what it computes
+   still lands in the parent's store through the publish frame. *)
+let test_proc_workers_leave_disk_to_parent () =
+  let dir = temp_cache_dir () in
+  Engine.Cache.enable_disk ~dir ();
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Cache.disable_disk ();
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  with_proc @@ fun p ->
+  let out =
+    Engine.Proc.map p
+      (fun () ->
+        let c = Engine.Cache.create ~name:"test-proc-disk" ~schema:"v1" () in
+        let v = Engine.Cache.find_or_add c ~key:("disk", 1) (fun () -> 42) in
+        (Engine.Cache.disk_dir (), v))
+      [| () |]
+  in
+  (match out.(0) with
+  | Ok (worker_dir, v) ->
+      Alcotest.(check (option string)) "worker has no disk tier" None worker_dir;
+      Alcotest.(check int) "task result" 42 v
+  | Error (exn, _) -> Alcotest.failf "task failed: %s" (Printexc.to_string exn));
+  Alcotest.(check bool) "the parent stored the worker's artifact" true
+    (Option.is_some
+       (Engine.Cache.raw_payload ~cache:"test-proc-disk"
+          ~key_digest:(Engine.Cache.key_digest ("disk", 1))))
+
 (* (r) Exactly once unless a worker is lost: with no crash, a task
    slower than any scheduling age gate still runs once, even while the
    other worker sits idle. Each execution appends its index to a log
@@ -676,4 +702,6 @@ let suite =
       test_proc_cas_publish;
     Alcotest.test_case "procs backend runs each task exactly once" `Quick
       test_proc_exactly_once;
+    Alcotest.test_case "workers leave the disk tier to the parent" `Quick
+      test_proc_workers_leave_disk_to_parent;
   ]

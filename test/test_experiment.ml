@@ -34,7 +34,7 @@ let float_of_cell cell =
   | Some f -> f
   | None -> Alcotest.failf "cell %S is not numeric" cell
 
-let run id = (Experiment.find id).Experiment.run ()
+let run id = Experiment.run_cells (Experiment.find id)
 
 let test_fig1_improves_profit_and_welfare () =
   match run "fig1" with
@@ -139,7 +139,7 @@ let test_fig12_theta_orders_reversed () =
 let test_all_experiments_produce_tables () =
   List.iter
     (fun e ->
-      let tables = e.Experiment.run () in
+      let tables = Experiment.run_cells e in
       if tables = [] then Alcotest.failf "%s produced no tables" e.Experiment.id;
       List.iter
         (fun t -> if t.Report.rows = [] then Alcotest.failf "%s has an empty table" e.Experiment.id)

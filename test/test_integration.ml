@@ -78,7 +78,7 @@ let test_full_pipeline_to_invoice () =
   Alcotest.(check bool) "positive total" true (invoice.Routing.Billing.total > 0.)
 
 let test_experiment_csv_and_markdown_agree_on_shape () =
-  let tables = (Experiment.find "table1").Experiment.run () in
+  let tables = Experiment.run_cells (Experiment.find "table1") in
   List.iter
     (fun t ->
       let csv_lines =

@@ -50,7 +50,7 @@ let () =
       ("tiered.experiment", Test_experiment.suite);
       ("engine", Test_engine.suite);
       ("engine.transport", Test_transport.suite);
-      ("engine.manifest", Test_manifest.suite);
+      ("engine.resume", Test_resume.suite);
       ("golden", Test_golden.suite);
       ("flowgen.loading", Test_loading.suite);
       ("flowgen.trace", Test_trace.suite);

@@ -201,10 +201,11 @@ let arb_capture_grid =
     gen
 
 let prop_cell_decomposition =
-  (* The tentpole invariant: for any grid shape, assembling the cell
-     outputs reproduces the direct run byte-for-byte (structural
-     equality of the report lists implies identical rendering). *)
-  QCheck.Test.make ~name:"cell decomposition: assemble (map compute) = run"
+  (* For any grid shape, assembling the cell outputs on the calling
+     domain equals the pooled run, which schedules the same cells on
+     worker domains (structural equality of the report lists implies
+     identical rendering). *)
+  QCheck.Test.make ~name:"cell decomposition: assemble (map compute) = pooled run"
     ~count:6 arb_capture_grid (fun (networks, bundle_counts, spec, alpha, p0) ->
       let e =
         Experiment.capture_experiment ~alpha ~p0 ~id:"prop-grid"
@@ -212,7 +213,8 @@ let prop_cell_decomposition =
           ~title_of:(fun n -> "profit capture on " ^ n)
           ~spec ~networks ~bundle_counts ()
       in
-      Experiment.run_cells e = e.Experiment.run ())
+      let pooled = Runner.run_experiments ~jobs:2 [ e ] in
+      List.map (fun r -> r.Runner.tables) pooled = [ Experiment.run_cells e ])
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
