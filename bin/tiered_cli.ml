@@ -349,13 +349,11 @@ let sweep_cmd =
        With --cache each finished cell is in the store at once, so an
        interrupted sweep reruns only the cells it had not finished. *)
     let compute v =
-      let market = fit v in
       Report.cell_f v
       :: List.map
-           (fun b ->
-             Report.cell_f
-               (Sensitivity.capture_at market strategy ~n_bundles:b))
-           Experiment.Defaults.bundle_counts
+           (fun (p : Capture.point) -> Report.cell_f p.Capture.capture)
+           (Capture.series (fit v) strategy
+              ~bundle_counts:Experiment.Defaults.bundle_counts)
     in
     let param_name =
       match param with `Alpha -> "alpha" | `P0 -> "p0" | `S0 -> "s0"

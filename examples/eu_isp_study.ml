@@ -39,15 +39,21 @@ let () =
   let header =
     "bundles" :: List.map Strategy.name strategies
   in
+  let bundle_counts = [ 1; 2; 3; 4; 5; 6 ] in
   let table market =
-    List.map
-      (fun b ->
+    let context = Capture.context market in
+    let columns =
+      List.map
+        (fun s -> Capture.series ~context market s ~bundle_counts)
+        strategies
+    in
+    List.mapi
+      (fun i b ->
         string_of_int b
         :: List.map
-             (fun s ->
-               Report.cell_f (Sensitivity.capture_at market s ~n_bundles:b))
-             strategies)
-      [ 1; 2; 3; 4; 5; 6 ]
+             (fun column -> Report.cell_f (List.nth column i).Capture.capture)
+             columns)
+      bundle_counts
   in
   Report.print Format.std_formatter
     (Report.make ~title:"CED demand" ~header (table ced));

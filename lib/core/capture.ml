@@ -16,14 +16,23 @@ let value ctx profit =
 
 type point = { n_bundles : int; capture : float; profit : float }
 
-let series market strategy ~bundle_counts =
-  let ctx = context market in
-  List.map
-    (fun n_bundles ->
-      let bundles = Strategy.apply strategy market ~n_bundles in
-      let profit = (Pricing.evaluate market bundles).Pricing.profit in
-      { n_bundles; capture = value ctx profit; profit })
-    bundle_counts
+let series ?context:ctx market strategy ~bundle_counts =
+  if List.exists (fun b -> b < 1) bundle_counts then
+    invalid_arg "Capture.series: bundle count < 1";
+  match bundle_counts with
+  | [] -> []
+  | _ ->
+      let ctx = match ctx with Some c -> c | None -> context market in
+      let curve =
+        Strategy.curve strategy market
+          ~max_bundles:(List.fold_left Int.max 1 bundle_counts)
+      in
+      List.map
+        (fun n_bundles ->
+          let bundles = curve.(n_bundles - 1) in
+          let profit = (Pricing.evaluate market bundles).Pricing.profit in
+          { n_bundles; capture = value ctx profit; profit })
+        bundle_counts
 
 let pp_point ppf p =
   Format.fprintf ppf "B=%d capture=%.3f profit=%.4g" p.n_bundles p.capture p.profit

@@ -22,7 +22,15 @@ val headroom : context -> float
 type point = { n_bundles : int; capture : float; profit : float }
 
 val series :
-  Market.t -> Strategy.t -> bundle_counts:int list -> point list
-(** Capture for each bundle count, pricing each partition optimally. *)
+  ?context:context ->
+  Market.t ->
+  Strategy.t ->
+  bundle_counts:int list ->
+  point list
+(** Capture for each bundle count, pricing each partition optimally.
+    The partitions come from one {!Strategy.curve} up to the largest
+    count. [context] defaults to [context market]; pass it when it is
+    already at hand. Raises [Invalid_argument] on a count below 1, and
+    as {!value} does on a market with no headroom. *)
 
 val pp_point : Format.formatter -> point -> unit

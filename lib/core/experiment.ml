@@ -91,6 +91,9 @@ let market_cache : Market.t Engine.Cache.t =
 let context_cache : Capture.context Engine.Cache.t =
   Engine.Cache.create ~name:"context" ~schema:"context/1" ()
 
+let series_cache : Capture.point list Engine.Cache.t =
+  Engine.Cache.create ~name:"series" ~schema:"series/1" ()
+
 let workload name =
   Engine.Cache.find_or_add workload_cache ~key:("workload", name) (fun () ->
       Flowgen.Workload.preset name)
@@ -110,6 +113,23 @@ let context ?(alpha = Defaults.alpha) ?(p0 = Defaults.p0)
   Engine.Cache.find_or_add context_cache
     ~key:("context", name, alpha, p0, cost_model, spec)
     (fun () -> Capture.context (market ~alpha ~p0 ~cost_model ~spec name))
+
+let series ?(alpha = Defaults.alpha) ?(p0 = Defaults.p0)
+    ?(cost_model = Cost_model.linear ~theta:Defaults.theta) ~spec ~strategy
+    ~bundle_counts name =
+  Engine.Cache.find_or_add series_cache
+    ~key:
+      ( "series", name, alpha, p0, cost_model, spec, Strategy.name strategy,
+        bundle_counts )
+    (fun () ->
+      Capture.series
+        ~context:(context ~alpha ~p0 ~cost_model ~spec name)
+        (market ~alpha ~p0 ~cost_model ~spec name)
+        strategy ~bundle_counts)
+
+(* The point of a series at one bundle count. *)
+let point_at points b =
+  List.find (fun (p : Capture.point) -> p.Capture.n_bundles = b) points
 
 let spec_name = Market.demand_spec_name
 let logit_spec = Market.Logit { s0 = Defaults.s0 }
@@ -317,17 +337,13 @@ let strategy_columns = function
         Strategy.Cost_division; Strategy.Index_division;
       ]
 
-let capture_row ?alpha ?p0 ~spec network b =
-  let m = market ?alpha ?p0 ~spec network in
-  let strategies = strategy_columns m.Market.spec in
-  let ctx = context ?alpha ?p0 ~spec network in
+let capture_row ?alpha ?p0 ~spec ~bundle_counts network b =
   int_cell b
   :: List.map
        (fun strategy ->
-         let bundles = Strategy.apply strategy m ~n_bundles:b in
-         Report.cell_f
-           (Capture.value ctx (Pricing.evaluate m bundles).Pricing.profit))
-       strategies
+         let points = series ?alpha ?p0 ~spec ~strategy ~bundle_counts network in
+         Report.cell_f (point_at points b).Capture.capture)
+       (strategy_columns spec)
 
 let capture_header ~spec = "bundles" :: List.map Strategy.name (strategy_columns spec)
 
@@ -341,7 +357,8 @@ let capture_experiment ?alpha ?p0 ~id ~description ~title_of ~spec ~networks
             {
               label = Printf.sprintf "%s/b=%d" network b;
               compute =
-                (fun () -> Rows [ capture_row ?alpha ?p0 ~spec network b ]);
+                (fun () ->
+                  Rows [ capture_row ?alpha ?p0 ~spec ~bundle_counts network b ]);
             })
           bundle_counts)
       networks
@@ -376,24 +393,24 @@ let fig9 =
 (* Normalized profit increase: (pi(B, theta) - pi_orig(theta)) divided by
    the largest headroom across the theta settings, so settings with less
    cost variability visibly plateau lower (the paper's normalization). *)
-let theta_contexts ~spec ~cost_of_theta ~thetas network =
-  List.map
-    (fun th ->
-      let cost_model = cost_of_theta th in
-      (th, market ~spec ~cost_model network, context ~spec ~cost_model network))
-    thetas
-
 let theta_row ~spec ~strategy ~cost_of_theta ~thetas network b =
-  let contexts = theta_contexts ~spec ~cost_of_theta ~thetas network in
+  let contexts =
+    List.map
+      (fun th ->
+        let cost_model = cost_of_theta th in
+        ( context ~spec ~cost_model network,
+          series ~spec ~cost_model ~strategy
+            ~bundle_counts:Defaults.bundle_counts network ))
+      thetas
+  in
   let max_headroom =
-    List.fold_left (fun acc (_, _, ctx) -> Float.max acc (Capture.headroom ctx)) 0.
+    List.fold_left (fun acc (ctx, _) -> Float.max acc (Capture.headroom ctx)) 0.
       contexts
   in
   int_cell b
   :: List.map
-       (fun (_, m, ctx) ->
-         let bundles = Strategy.apply strategy m ~n_bundles:b in
-         let profit = (Pricing.evaluate m bundles).Pricing.profit in
+       (fun (ctx, points) ->
+         let profit = (point_at points b).Capture.profit in
          Report.cell_f ((profit -. ctx.Capture.original) /. max_headroom))
        contexts
 

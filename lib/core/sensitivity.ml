@@ -7,15 +7,14 @@ let envelope ~markets ~strategy ~bundle_counts ~mode =
   if markets = [] then invalid_arg "Sensitivity.envelope: no markets";
   let pick = match mode with `Min -> Float.min | `Max -> Float.max in
   let start = match mode with `Min -> infinity | `Max -> neg_infinity in
-  List.map
-    (fun n_bundles ->
-      let worst =
-        List.fold_left
-          (fun acc market -> pick acc (capture_at market strategy ~n_bundles))
-          start markets
-      in
-      (n_bundles, worst))
-    bundle_counts
+  List.fold_left
+    (fun acc market ->
+      List.map2
+        (fun (n_bundles, worst) p -> (n_bundles, pick worst p.Capture.capture))
+        acc
+        (Capture.series market strategy ~bundle_counts))
+    (List.map (fun n_bundles -> (n_bundles, start)) bundle_counts)
+    markets
 
 let alpha_range ?(steps = 8) ~lo ~hi () =
   if not (lo > 0. && hi > lo) then invalid_arg "Sensitivity.alpha_range: need 0 < lo < hi";

@@ -4,16 +4,28 @@
     All heuristics produce at most [n_bundles] bundles (fewer when a
     range ends up empty, mirroring the paper's cost-division dips).
 
-    The [Optimal] strategy: for CED the profit of a flow at a common
-    price [P] factors as [v_i^alpha * P^(-alpha) (P - c_i)], so the best
-    bundle for a flow depends only on its cost and the optimal partition
-    is contiguous in cost order — an O(B n^2) dynamic program over
-    cost-sorted flows is {e exact}. For logit, optimal profit is
-    monotone in [S = sum_b W_b e^(-alpha c_b)] (see {!Logit}), which is
-    additive over bundles, so the same DP applies; contiguity in cost is
-    near-exact there, and the result is additionally floored at the best
-    heuristic (tests cross-check against exhaustive search on small
-    instances). *)
+    The [Optimal] strategy is the segment DP over flows sorted by cost,
+    and it is {e exact} for every demand family: some optimal partition
+    is contiguous in cost order.
+    - CED: the profit of a flow at a common price [P] factors as
+      [v_i^alpha * P^(-alpha) (P - c_i)], so the best bundle for a flow
+      depends only on its cost. Linear demand under the common-elasticity
+      fit is the same argument.
+    - Logit: optimal profit rises with
+      [S = sum_b W_b exp(-alpha cbar_b)] (see {!Logit}), a sum over
+      bundles of [g(W, C) = W exp(-alpha C / W)] at the bundle's weight
+      [W] and weighted cost [C]. [g] is the perspective of a strictly
+      convex function, so it is convex and homogeneous. At an optimum
+      with fewest bundles, moving one flow between two bundles cannot
+      gain; convexity turns that into "each flow sits in the bundle whose
+      tangent line of [exp(-alpha c)] is highest at its cost". Tangents of
+      a strictly convex function are each highest on one interval of
+      costs, so the bundles are cost intervals; flows of equal cost
+      split across two bundles can all be moved to one side without
+      loss. DESIGN.md §2 gives the argument in full.
+    The DP is therefore exact up to floating-point rounding, and the
+    test suite checks it against exhaustive search on small random
+    markets of every family, clamped and underflowing logit included. *)
 
 type t =
   | Optimal
@@ -39,6 +51,14 @@ val apply : t -> Market.t -> n_bundles:int -> Bundle.t
     exact quadratic backstop) — cut-for-cut identical to the historical
     O(B n^2) DP. *)
 
+val curve : t -> Market.t -> max_bundles:int -> Bundle.t array
+(** [curve s market ~max_bundles]: element [b - 1] is
+    [apply s market ~n_bundles:b], for every [b] up to [max_bundles],
+    computed in one pass: [Optimal] from one
+    {!Numerics.Segdp.solve_curve} fill, the heuristics from one set of
+    weights and sorts. Raises [Invalid_argument] when
+    [max_bundles < 1]. *)
+
 val dp_inputs : Market.t -> int array * (int -> int -> float) * int array
 (** [dp_inputs market] is [(order, seg_value, regions)]: flow indices
     in ascending-cost order (ties by index), the closed-form segment
@@ -48,7 +68,10 @@ val dp_inputs : Market.t -> int array * (int -> int -> float) * int array
     [Optimal]'s DP runs on. [regions] is [[|0|]] for CED/linear; for
     logit it splits the cost order at clamped/underflowed prefix-sum
     ranges and at the exp-saturation point, so each region's segment
-    profit is a single smooth, inverse-Monge branch. Exposed for the
+    profit is a single smooth, inverse-Monge branch. A logit market
+    whose single-flow terms would all underflow in those units is
+    solved in log space, scaled by its largest term (DESIGN.md §11):
+    same partition objective, slower evaluations. Exposed for the
     kernel grid test and the fast-vs-quadratic regression suite. O(n)
     setup when the market's flows are already in that order (the
     streaming re-tier builds them so; [order] is then the identity),

@@ -19,17 +19,18 @@ type point = {
   net_profit : float;
 }
 
-let gross market strategy ~n_bundles =
-  (Pricing.evaluate market (Strategy.apply strategy market ~n_bundles)).Pricing.profit
+let gross market bundles = (Pricing.evaluate market bundles).Pricing.profit
 
 let series market strategy o ~max_bundles =
   if max_bundles < 1 then invalid_arg "Tier_count.series: max_bundles < 1";
   let n_flows = Market.n_flows market in
-  List.init max_bundles (fun i ->
+  List.mapi
+    (fun i gross_profit ->
       let n_bundles = i + 1 in
-      let gross_profit = gross market strategy ~n_bundles in
       let overhead_cost = cost o ~n_tiers:n_bundles ~n_flows in
       { n_bundles; gross_profit; overhead_cost; net_profit = gross_profit -. overhead_cost })
+    (Array.to_list
+       (Array.map (gross market) (Strategy.curve strategy market ~max_bundles)))
 
 let optimal market strategy o ~max_bundles =
   match series market strategy o ~max_bundles with
@@ -42,6 +43,7 @@ let optimal market strategy o ~max_bundles =
 let break_even_overhead market strategy ~from_bundles ~to_bundles =
   if from_bundles < 1 || to_bundles <= from_bundles then
     invalid_arg "Tier_count.break_even_overhead: need 1 <= from < to";
-  let g_from = gross market strategy ~n_bundles:from_bundles in
-  let g_to = gross market strategy ~n_bundles:to_bundles in
+  let curve = Strategy.curve strategy market ~max_bundles:to_bundles in
+  let g_from = gross market curve.(from_bundles - 1) in
+  let g_to = gross market curve.(to_bundles - 1) in
   (g_to -. g_from) /. float_of_int (to_bundles - from_bundles)

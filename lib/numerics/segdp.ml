@@ -521,12 +521,14 @@ let counted seg_value =
       seg_value i j),
     evals )
 
-(* The optimum the state holds. Smallest argmax over achievable segment
-   counts — the quadratic DP's best_b selection. *)
-let finish st ~layers ~counts ~evaluations =
+(* The optimum the state holds among its first [cap] layers (default:
+   all of them). Smallest argmax over achievable segment counts — the
+   quadratic DP's best_b selection. *)
+let finish ?cap st ~layers ~counts ~evaluations =
   let last = st.st_last in
+  let cap = Option.value cap ~default:st.st_b_max in
   let best_b = ref 0 in
-  for b = 1 to st.st_b_max - 1 do
+  for b = 1 to cap - 1 do
     if last.(b) > last.(!best_b) then best_b := b
   done;
   {
@@ -663,3 +665,15 @@ let verify_columns ?(samples = 64) st seg_value =
     incr b
   done;
   !ok
+
+(* Layer b of a fill does not depend on how many layers follow it, so
+   one fill at [max_bundles] holds every smaller solve: entry [b - 1]
+   is [finish] capped at layer [b], exactly [solve ~n_bundles:b]. *)
+let solve_curve ?(samples = 16) ?(regions = no_regions) ~n ~max_bundles
+    seg_value =
+  let st = new_state ~n ~n_bundles:max_bundles ~regions in
+  let seg, evals = counted seg_value and counts = no_counts () in
+  fill_ladder ~samples ~counts st seg;
+  Array.init max_bundles (fun b ->
+      finish ~cap:(Stdlib.min (b + 1) st.st_b_max) st ~layers:st.st_b_max
+        ~counts ~evaluations:!evals)

@@ -87,6 +87,21 @@ val solve :
     [Strategy.dp_inputs], which derives the logit decomposition. Raises
     [Invalid_argument] on malformed [n], [n_bundles] or [regions]. *)
 
+val solve_curve :
+  ?samples:int ->
+  ?regions:int array ->
+  n:int ->
+  max_bundles:int ->
+  (int -> int -> float) ->
+  result array
+(** [solve_curve ~n ~max_bundles seg_value]: the optimum for every
+    segment budget up to [max_bundles] from one DP fill. Element [b - 1]
+    is [solve ~n ~n_bundles:b seg_value] in cuts, segments and bitwise
+    value, since a layer's values and argmaxes do not depend on how
+    many layers follow it; only [stats] differ, and every element
+    carries the one fill's. Raises [Invalid_argument] as {!solve} does
+    for [n_bundles = max_bundles]. *)
+
 (** {2 Warm start}
 
     The streaming re-tier loop (DESIGN.md §12) solves a near-identical
@@ -153,3 +168,4 @@ val verify_columns : ?samples:int -> state -> (int -> int -> float) -> bool
     The kernel grid test uses this as the exact spot-check on cells too
     large to run the full quadratic reference. [seg_value] must be the
     function the state was last solved with. *)
+

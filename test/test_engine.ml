@@ -62,17 +62,25 @@ let test_cache_physical_equality () =
   Alcotest.(check int) "distinct keys computed separately" 3 !calls;
   Alcotest.(check bool) "distinct artifact" false (other == third)
 
+let temp_cache_dir () =
+  let f = Filename.temp_file "engine-cache" "" in
+  Sys.remove f;
+  Sys.mkdir f 0o755;
+  f
+
+(* Switch the disk tier off and delete its directory (the store is
+   flat: objects, references, stamps and the counter file). *)
+let drop_cache_dir dir () =
+  Engine.Cache.disable_disk ();
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* (c) The disk tier round-trips artifacts across cache instances and
    rejects payloads written under a stale schema version. *)
 let test_cache_disk_tier () =
-  let dir =
-    let f = Filename.temp_file "engine-cache" "" in
-    Sys.remove f;
-    Sys.mkdir f 0o755;
-    f
-  in
+  let dir = temp_cache_dir () in
   Engine.Cache.enable_disk ~dir ();
-  Fun.protect ~finally:Engine.Cache.disable_disk @@ fun () ->
+  Fun.protect ~finally:(drop_cache_dir dir) @@ fun () ->
   let calls = ref 0 in
   let compute () =
     incr calls;
@@ -96,12 +104,6 @@ let test_cache_disk_tier () =
   Alcotest.(check int)
     "stale read is a miss" 1 (Engine.Cache.stats c3).Engine.Cache.misses
 
-let temp_cache_dir () =
-  let f = Filename.temp_file "engine-cache" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o755;
-  f
-
 (* Byte count of the payload files actually on disk — an independent
    check of the engine's own accounting. *)
 let scan_payload_bytes dir =
@@ -119,7 +121,7 @@ let test_cache_eviction_respects_budget () =
   let dir = temp_cache_dir () in
   let max_bytes = 4096 in
   Engine.Cache.enable_disk ~max_bytes ~dir ();
-  Fun.protect ~finally:Engine.Cache.disable_disk @@ fun () ->
+  Fun.protect ~finally:(drop_cache_dir dir) @@ fun () ->
   let cache = Engine.Cache.create ~name:"test-evict" ~schema:"v1" () in
   let rng = Random.State.make [| 0xEC41C7 |] in
   let computes = ref 0 in
@@ -170,7 +172,7 @@ let test_cache_eviction_respects_budget () =
 let test_cache_truncated_payload_is_miss () =
   let dir = temp_cache_dir () in
   Engine.Cache.enable_disk ~dir ();
-  Fun.protect ~finally:Engine.Cache.disable_disk @@ fun () ->
+  Fun.protect ~finally:(drop_cache_dir dir) @@ fun () ->
   let calls = ref 0 in
   let compute () =
     incr calls;
@@ -283,7 +285,7 @@ let test_eviction_skips_unremovable () =
   Engine.Cache.enable_disk ~dir ();
   let finally () =
     Engine.Cache.Private.set_remove_hook None;
-    Engine.Cache.disable_disk ()
+    drop_cache_dir dir ()
   in
   Fun.protect ~finally @@ fun () ->
   let cache = Engine.Cache.create ~name:"test-unremovable" ~schema:"v1" () in
@@ -340,7 +342,7 @@ let test_eviction_skips_unremovable () =
 let test_lru_same_second_hit_survives () =
   let dir = temp_cache_dir () in
   Engine.Cache.enable_disk ~dir ();
-  Fun.protect ~finally:Engine.Cache.disable_disk @@ fun () ->
+  Fun.protect ~finally:(drop_cache_dir dir) @@ fun () ->
   (* Pick the key whose digest (hence payload file name) is smaller as
      the hot one: under a same-second mtime tie the old scheme evicted
      the lexicographically first file, i.e. precisely this payload. *)
@@ -609,12 +611,7 @@ let test_proc_cas_publish () =
 let test_proc_workers_leave_disk_to_parent () =
   let dir = temp_cache_dir () in
   Engine.Cache.enable_disk ~dir ();
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.Cache.disable_disk ();
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-  @@ fun () ->
+  Fun.protect ~finally:(drop_cache_dir dir) @@ fun () ->
   with_proc @@ fun p ->
   let out =
     Engine.Proc.map p

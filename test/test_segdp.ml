@@ -413,6 +413,52 @@ let test_warm_validation () =
         (fun () -> ignore (Numerics.Segdp.solve_warm st ~dirty_from:d seg)))
     [ -1; n + 1 ]
 
+(* --- solve_curve --------------------------------------------------------- *)
+
+(* One fill at B_max against a fresh solve per b: cuts, segment counts
+   and bitwise values must all agree. *)
+let curve_agrees ?regions ~n ~max_bundles seg_value =
+  let curve = Numerics.Segdp.solve_curve ?regions ~n ~max_bundles seg_value in
+  Array.length curve = max_bundles
+  && List.for_all
+       (fun b ->
+         let r = Numerics.Segdp.solve ?regions ~n ~n_bundles:b seg_value in
+         let c = curve.(b - 1) in
+         (c.Numerics.Segdp.cuts = r.Numerics.Segdp.cuts
+         && c.Numerics.Segdp.segments = r.Numerics.Segdp.segments
+         && Float.equal c.Numerics.Segdp.value r.Numerics.Segdp.value)
+         || QCheck.Test.fail_reportf "entry %d differs from solve" b)
+       (List.init max_bundles (fun i -> i + 1))
+
+let prop_curve_equals_solve name demand =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "solve_curve entry b = solve ~n_bundles:b (%s)" name)
+    ~count:25 spec_gen
+    (fun spec ->
+      let m = market_of ~demand (Fixtures.flows_of_spec spec) in
+      let _order, seg_value, regions = Strategy.dp_inputs m in
+      curve_agrees ~regions ~n:(Market.n_flows m) ~max_bundles:10 seg_value)
+
+let prop_curve_hostile_logit =
+  QCheck.Test.make ~name:"solve_curve entry b = solve (hostile logit)" ~count:50
+    hostile_logit_arb
+    (fun spec ->
+      let valuations =
+        Array.of_list (List.map (fun (dv, _) -> 800. +. dv) spec)
+      in
+      let costs = Array.of_list (List.map (fun (_, c) -> c) spec) in
+      let flows =
+        Fixtures.flows_of_spec
+          (List.mapi (fun i _ -> (10. +. float_of_int i, 100.)) spec)
+      in
+      let m =
+        Market.of_parameters
+          ~spec:(Market.Logit { s0 = 0.2 })
+          ~alpha:1.1 ~p0:20. ~valuations ~costs flows
+      in
+      let _order, seg_value, regions = Strategy.dp_inputs m in
+      curve_agrees ~regions ~n:(List.length spec) ~max_bundles:10 seg_value)
+
 let suite =
   [
     Alcotest.test_case "argument validation" `Quick test_validation;
@@ -443,4 +489,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hostile_logit_decomposed;
     QCheck_alcotest.to_alcotest prop_evals_monotone_in_n;
     QCheck_alcotest.to_alcotest prop_cuts_valid;
+    QCheck_alcotest.to_alcotest (prop_curve_equals_solve "ced" `Ced);
+    QCheck_alcotest.to_alcotest (prop_curve_equals_solve "logit" `Logit);
+    QCheck_alcotest.to_alcotest (prop_curve_equals_solve "linear" `Linear);
+    QCheck_alcotest.to_alcotest prop_curve_hostile_logit;
   ]

@@ -203,6 +203,52 @@ let test_malformed_regions_rejected () =
       ("start out of range", [| 0; 10 |]);
     ]
 
+(* --- solve_curve on the corpus ------------------------------------------- *)
+
+(* Every fixture above, solved once at B_max: entry b must be
+   [solve ~n_bundles:b] exactly, whichever rung carried each layer. *)
+let test_curve_matches_solve () =
+  let check name ?regions ~n ~max_bundles seg =
+    let curve = Numerics.Segdp.solve_curve ?regions ~n ~max_bundles seg in
+    Alcotest.(check int) (name ^ " entries") max_bundles (Array.length curve);
+    Array.iteri
+      (fun i c ->
+        check_same
+          (Printf.sprintf "%s b=%d" name (i + 1))
+          c
+          (Numerics.Segdp.solve ?regions ~n ~n_bundles:(i + 1) seg))
+      curve
+  in
+  let logit name ~valuations ~costs =
+    let n = Array.length valuations in
+    let m =
+      Market.of_parameters
+        ~spec:(Market.Logit { s0 = 0.2 })
+        ~alpha:1.1 ~p0:20. ~valuations ~costs
+        (Fixtures.flows_of_spec (List.init n (fun i -> (10. +. float_of_int i, 100.))))
+    in
+    let _order, seg, regions = Strategy.dp_inputs m in
+    check name ~regions ~n ~max_bundles:6 seg
+  in
+  logit "clamped logit"
+    ~valuations:(Array.init 120 (fun k -> if k >= 20 && k < 40 then -750. else 50.))
+    ~costs:
+      (Array.init 120 (fun k ->
+           if k < 60 then 1. +. float_of_int k else 1000. +. float_of_int k));
+  logit "absorbed weights"
+    ~valuations:(Array.init 100 (fun k -> if k >= 70 && k < 90 then 10. else 50.))
+    ~costs:(Array.init 100 (fun k -> 1. +. (0.5 *. float_of_int k)));
+  let b_of i = if i land 1 = 0 then 2. else 1. in
+  check "smawk" ~n:80 ~max_bundles:3 (fun i j ->
+      if i = 0 then 0. else (1. +. float_of_int j) *. b_of i);
+  check "chaotic" ~n:80 ~max_bundles:6 (chaotic_seg 80);
+  check "nan plateau" ~n:60 ~max_bundles:6 (fun i j ->
+      if j - i > 25 then Float.nan else 0.);
+  check "constant" ~n:64 ~max_bundles:6 (fun _ _ -> 0.);
+  check "n=1" ~n:1 ~max_bundles:8 (chaotic_seg 1);
+  check "n=B" ~n:6 ~max_bundles:6 (chaotic_seg 6);
+  check "B > n" ~n:4 ~max_bundles:7 (chaotic_seg 4)
+
 let suite =
   [
     Alcotest.test_case "clamped logit: underflow + saturation" `Quick
@@ -218,4 +264,6 @@ let suite =
     Alcotest.test_case "two flows, one bundle" `Quick test_two_flows_one_bundle;
     Alcotest.test_case "malformed regions rejected" `Quick
       test_malformed_regions_rejected;
+    Alcotest.test_case "solve_curve = solve on the corpus" `Quick
+      test_curve_matches_solve;
   ]

@@ -221,6 +221,128 @@ let test_dp_inputs_presorted () =
   Alcotest.(check bool) "same value" true
     (Float.equal a.Numerics.Segdp.value b.Numerics.Segdp.value)
 
+(* --- Optimal is exact for logit ------------------------------------------ *)
+
+(* Random logit markets of at most 10 flows, in two shapes: fitted from
+   random flows, and built from explicit valuations and costs biased
+   toward the clamp and underflow boundaries of the hostile corpus
+   (test_segdp_hostile.ml): shifted weights that underflow
+   (alpha dv below -745) or are absorbed by the prefix sums (dv near
+   -40), and cost spreads past the exp saturation point. *)
+type logit_case =
+  | Fitted of { alpha : float; s0 : float; flows : (float * float) list }
+  | Built of { alpha : float; flows : (float * float) list }
+
+let logit_case_market = function
+  | Fitted { alpha; s0; flows } ->
+      Fixtures.logit_market ~alpha ~s0 ~flows:(Fixtures.flows_of_spec flows) ()
+  | Built { alpha; flows } ->
+      let valuations = Array.of_list (List.map (fun (dv, _) -> 800. +. dv) flows) in
+      let costs = Array.of_list (List.map snd flows) in
+      Market.of_parameters
+        ~spec:(Market.Logit { s0 = 0.2 })
+        ~alpha ~p0:20. ~valuations ~costs
+        (Fixtures.flows_of_spec
+           (List.mapi (fun i _ -> (10. +. float_of_int i, 100.)) flows))
+
+let small_logit_arb =
+  let open QCheck in
+  let alpha = Gen.oneofl [ 0.5; 1.1; 2.; 5. ] in
+  let fitted =
+    Gen.map3
+      (fun alpha s0 flows -> Fitted { alpha; s0; flows })
+      alpha (Gen.float_range 0.15 0.9)
+      Gen.(list_size (1 -- 10) (pair (float_range 1. 120.) (float_range 1. 2500.)))
+  in
+  let voff =
+    Gen.oneof
+      [
+        Gen.float_range (-800.) 0.;
+        Gen.float_range (-700.) (-650.);
+        Gen.float_range (-45.) (-35.);
+        Gen.return 0.;
+      ]
+  in
+  let cost =
+    Gen.oneof
+      [ Gen.float_range 1. 1500.; Gen.float_range 600. 660.; Gen.float_range 1. 50. ]
+  in
+  let built =
+    Gen.map2
+      (fun alpha flows -> Built { alpha; flows })
+      alpha
+      Gen.(list_size (1 -- 10) (pair voff cost))
+  in
+  let print = function
+    | Fitted { alpha; s0; flows } ->
+        Printf.sprintf "fitted alpha=%g s0=%g %s" alpha s0
+          (Print.(list (pair float float)) flows)
+    | Built { alpha; flows } ->
+        Printf.sprintf "built alpha=%g %s" alpha (Print.(list (pair float float)) flows)
+  in
+  make ~print (Gen.oneof [ fitted; built ])
+
+let prop_logit_dp_exact =
+  QCheck.Test.make ~name:"logit: exhaustive profit <= DP profit (1 + 1e-12)"
+    ~count:60 small_logit_arb (fun case ->
+      let m = logit_case_market case in
+      let profit bundles = (Pricing.evaluate m bundles).Pricing.profit in
+      List.for_all
+        (fun b ->
+          let dp = profit (Strategy.apply Strategy.Optimal m ~n_bundles:b) in
+          let ex = profit (Strategy.exhaustive_optimal m ~n_bundles:b) in
+          ex <= dp *. (1. +. 1e-12)
+          || QCheck.Test.fail_reportf "B=%d: exhaustive %.17g > DP %.17g" b ex dp)
+        [ 1; 2; 3; 4 ])
+
+(* --- curve = apply per B ------------------------------------------------- *)
+
+let curve_arb =
+  let open QCheck in
+  let spec =
+    Gen.oneofl
+      [ Market.Ced; Market.Logit { s0 = 0.2 }; Market.Linear { epsilon = 1.8 } ]
+  in
+  let cost_model =
+    Gen.oneofl
+      [
+        Cost_model.linear ~theta:0.2;
+        Cost_model.concave ~theta:0.3;
+        Cost_model.regional ~theta:1.1;
+        Cost_model.destination_type ~theta:0.3;
+      ]
+  in
+  make
+    ~print:(fun (spec, _, max_bundles, flows) ->
+      Printf.sprintf "%s B_max=%d %s" (Market.demand_spec_name spec) max_bundles
+        (Print.(list (pair float float)) flows))
+    Gen.(
+      quad spec cost_model (1 -- 8)
+        (list_size (1 -- 40) (pair (float_range 1. 120.) (float_range 1. 2500.))))
+
+let prop_curve_equals_apply =
+  QCheck.Test.make ~name:"curve entry b = apply ~n_bundles:b, every strategy"
+    ~count:60 curve_arb (fun (spec, cost_model, max_bundles, flows) ->
+      let m =
+        Market.fit ~spec ~alpha:1.1 ~p0:20. ~cost_model (Fixtures.flows_of_spec flows)
+      in
+      List.for_all
+        (fun s ->
+          let curve = Strategy.curve s m ~max_bundles in
+          Array.length curve = max_bundles
+          && List.for_all
+               (fun b ->
+                 (curve.(b - 1) :> int array array)
+                 = (Strategy.apply s m ~n_bundles:b :> int array array)
+                 || QCheck.Test.fail_reportf "%s differs at B=%d" (Strategy.name s) b)
+               (List.init max_bundles (fun i -> i + 1)))
+        Strategy.all)
+
+let test_curve_validation () =
+  Alcotest.check_raises "zero" (Invalid_argument "Strategy.curve: max_bundles < 1")
+    (fun () ->
+      ignore (Strategy.curve Strategy.Optimal (Fixtures.ced_market ()) ~max_bundles:0))
+
 let suite =
   [
     Alcotest.test_case "names roundtrip" `Quick test_names_roundtrip;
@@ -240,4 +362,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_optimal_monotone_in_bundles;
     Alcotest.test_case "dp_inputs pre-sorted is the identity" `Quick
       test_dp_inputs_presorted;
+    QCheck_alcotest.to_alcotest prop_logit_dp_exact;
+    QCheck_alcotest.to_alcotest prop_curve_equals_apply;
+    Alcotest.test_case "curve validation" `Quick test_curve_validation;
   ]
