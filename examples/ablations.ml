@@ -54,7 +54,7 @@ let ablation_dp_vs_exhaustive () =
     (Report.make ~title:"Ablation: contiguous-DP optimal vs exhaustive set partitions"
        ~header:[ "demand"; "bundles"; "DP profit"; "exhaustive"; "gap" ]
        rows
-       ~notes:[ "the DP is provably exact for CED; near-exact for logit" ])
+       ~notes:[ "the DP is provably exact for CED and logit (DESIGN.md §2); -0.0% is rounding" ])
 
 let ablation_logit_pricing () =
   let m = Experiment.market ~spec:(Market.Logit { s0 = Experiment.Defaults.s0 }) "eu_isp" in

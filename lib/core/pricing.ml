@@ -11,100 +11,149 @@ type outcome = {
 
 let welfare o = o.profit +. o.consumer_surplus
 
-let flow_prices_of_bundle_prices market bundles prices =
-  let n = Market.n_flows market in
-  let owner = Bundle.member_of bundles ~n_flows:n in
-  Array.init n (fun i -> prices.(owner.(i)))
+type columns = {
+  spec : Market.demand_spec;
+  alpha : float;
+  k : float;
+  valuations : float array;
+  weights : float array;
+  costs : float array;
+}
 
-(* Assemble an outcome from per-flow prices under either demand model.
-   The aggregate statistics run through [Stats.sum_init] — one pass per
-   statistic, no [Array.init] temporaries, and each Kahan accumulator
-   sees the same addend sequence as the materialized version, so the
-   totals are bit-identical (the goldens pin this). *)
-let outcome_at market bundles bundle_prices =
-  let { Market.alpha; valuations; costs; k; spec; _ } = market in
-  let flow_prices = flow_prices_of_bundle_prices market bundles bundle_prices in
-  let n = Market.n_flows market in
-  let assemble ~flow_demands ~consumer_surplus =
-    let revenue =
-      Numerics.Stats.sum_init n (fun i -> flow_prices.(i) *. flow_demands.(i))
-    in
-    let delivery_cost =
-      Numerics.Stats.sum_init n (fun i -> costs.(i) *. flow_demands.(i))
-    in
-    {
-      bundles;
-      bundle_prices;
-      flow_prices;
-      flow_demands;
-      profit = revenue -. delivery_cost;
-      revenue;
-      delivery_cost;
-      consumer_surplus;
-    }
+let columns (market : Market.t) =
+  let { Market.spec; alpha; k; valuations; costs; _ } = market in
+  let weights =
+    match spec with
+    | Market.Ced -> Market.pow_valuations market
+    | Market.Linear _ -> Market.linear_b market
+    | Market.Logit _ -> [||]
   in
-  match spec with
-  | Market.Ced ->
-      let flow_demands =
-        Array.init n (fun i -> Ced.demand ~alpha ~v:valuations.(i) flow_prices.(i))
-      in
-      assemble ~flow_demands
-        ~consumer_surplus:
-          (Numerics.Stats.sum_init n (fun i ->
-               Ced.consumer_surplus ~alpha ~v:valuations.(i) flow_prices.(i)))
-  | Market.Linear _ ->
-      let b = Market.linear_b market in
-      let flow_demands =
-        Array.init n (fun i -> Lin.demand ~a:valuations.(i) ~b:b.(i) flow_prices.(i))
-      in
-      assemble ~flow_demands
-        ~consumer_surplus:
-          (Numerics.Stats.sum_init n (fun i ->
-               Lin.consumer_surplus ~a:valuations.(i) ~b:b.(i) flow_prices.(i)))
-  | Market.Logit _ ->
-      let flow_demands = Logit.demands_at ~alpha ~k ~valuations ~prices:flow_prices in
-      assemble ~flow_demands
-        ~consumer_surplus:
-          (Logit.consumer_surplus ~alpha ~k ~valuations ~prices:flow_prices)
+  { spec; alpha; k; valuations; weights; costs }
 
-let optimal_bundle_prices market bundles =
-  let { Market.alpha; valuations; costs; spec; _ } = market in
-  let member_cs = Bundle.gather bundles costs in
+let column_count c =
+  let n = Array.length c.costs in
+  if n = 0 then invalid_arg "Pricing.columns: no flows";
+  let weights_fit =
+    match c.spec with
+    | Market.Logit _ -> true
+    | Market.Ced | Market.Linear _ -> Array.length c.weights = n
+  in
+  if Array.length c.valuations <> n || not weights_fit then
+    invalid_arg "Pricing.columns: column length mismatch";
+  n
+
+(* Optimal price of each of [count] bundles; bundle [b] holds the flows
+   [member b j] for [j < size b]. Every sum runs over a bundle's
+   members in that order, so pricing a gathered copy and pricing in
+   place give the same bits. *)
+let bundle_prices c ~count ~size ~member =
+  let { spec; alpha; valuations; weights; costs; _ } = c in
+  let sum b f = Numerics.Stats.sum_init (size b) (fun j -> f (member b j)) in
   match spec with
   | Market.Ced ->
-      (* Gather the memoized [v^alpha] directly: no power per call, and
-         the per-bundle price sums run over the same values in the same
-         order as [Ced.bundle_price] on the raw valuations. *)
-      let member_pva = Bundle.gather bundles (Market.pow_valuations market) in
-      Array.init (Bundle.count bundles) (fun b ->
-          Ced.bundle_price_pow ~alpha ~pow_valuations:member_pva.(b)
-            ~costs:member_cs.(b))
+      (* Eq. 5 off the memoized [v^alpha]: no power per call, and the
+         same sums as [Ced.bundle_price] on the raw valuations. *)
+      Ced.check_alpha alpha;
+      Array.init count (fun b ->
+          alpha
+          *. sum b (fun i -> costs.(i) *. weights.(i))
+          /. ((alpha -. 1.) *. sum b (fun i -> weights.(i))))
   | Market.Linear _ ->
-      let member_vs = Bundle.gather bundles valuations in
-      let member_bs = Bundle.gather bundles (Market.linear_b market) in
-      Array.init (Bundle.count bundles) (fun g ->
-          let bs = member_bs.(g) and cs = member_cs.(g) in
-          let a_sum = Numerics.Stats.sum member_vs.(g) in
-          let b_sum = Numerics.Stats.sum bs in
-          let bc_sum =
-            Numerics.Stats.sum_init (Array.length bs) (fun i -> bs.(i) *. cs.(i))
-          in
-          Lin.bundle_price ~a_sum ~b_sum ~bc_sum)
+      Array.init count (fun b ->
+          Lin.bundle_price
+            ~a_sum:(sum b (fun i -> valuations.(i)))
+            ~b_sum:(sum b (fun i -> weights.(i)))
+            ~bc_sum:(sum b (fun i -> weights.(i) *. costs.(i))))
   | Market.Logit _ ->
-      let member_vs = Bundle.gather bundles valuations in
-      let count = Bundle.count bundles in
-      let bundle_vs = Array.make count 0. in
-      let bundle_cs = Array.make count 0. in
-      for b = 0 to count - 1 do
-        let v, c =
-          Logit.bundle_aggregate ~alpha ~valuations:member_vs.(b)
-            ~costs:member_cs.(b)
-        in
-        bundle_vs.(b) <- v;
-        bundle_cs.(b) <- c
-      done;
-      let { Logit.prices; _ } = Logit.optimize ~alpha ~valuations:bundle_vs ~costs:bundle_cs in
+      let gather b col = Array.init (size b) (fun j -> col.(member b j)) in
+      let aggregates =
+        Array.init count (fun b ->
+            Logit.bundle_aggregate ~alpha ~valuations:(gather b valuations)
+              ~costs:(gather b costs))
+      in
+      let { Logit.prices; _ } =
+        Logit.optimize ~alpha ~valuations:(Array.map fst aggregates)
+          ~costs:(Array.map snd aggregates)
+      in
       prices
+
+(* Every flow's demand at its price, and the revenue and delivery cost
+   they bring. Each total is one Kahan sum ([Stats.sum_init]) over the
+   flows in column order, the same addends as materializing it. *)
+let demands_and_totals c flow_prices =
+  let { spec; alpha; k; valuations; weights; costs } = c in
+  let n = Array.length flow_prices in
+  let flow_demands =
+    match spec with
+    | Market.Ced ->
+        Array.init n (fun i -> Ced.demand ~alpha ~v:valuations.(i) flow_prices.(i))
+    | Market.Linear _ ->
+        Array.init n (fun i ->
+            Lin.demand ~a:valuations.(i) ~b:weights.(i) flow_prices.(i))
+    | Market.Logit _ -> Logit.demands_at ~alpha ~k ~valuations ~prices:flow_prices
+  in
+  let revenue =
+    Numerics.Stats.sum_init n (fun i -> flow_prices.(i) *. flow_demands.(i))
+  in
+  let delivery_cost =
+    Numerics.Stats.sum_init n (fun i -> costs.(i) *. flow_demands.(i))
+  in
+  (flow_demands, revenue, delivery_cost)
+
+let contiguous c ~cuts =
+  let n = column_count c in
+  let bounds = Array.of_list ((0 :: cuts) @ [ n ]) in
+  let count = Array.length bounds - 1 in
+  for b = 0 to count - 1 do
+    if bounds.(b + 1) <= bounds.(b) then
+      invalid_arg "Pricing.contiguous: cuts must be strictly increasing in [1, n-1]"
+  done;
+  let prices =
+    bundle_prices c ~count
+      ~size:(fun b -> bounds.(b + 1) - bounds.(b))
+      ~member:(fun b j -> bounds.(b) + j)
+  in
+  let flow_prices = Array.make n 0. in
+  for b = 0 to count - 1 do
+    Array.fill flow_prices bounds.(b) (bounds.(b + 1) - bounds.(b)) prices.(b)
+  done;
+  let _, revenue, delivery_cost = demands_and_totals c flow_prices in
+  (prices, revenue -. delivery_cost)
+
+(* An outcome at the given bundle prices: the profit terms of
+   [demands_and_totals] plus the consumer surplus. *)
+let outcome_at market bundles bundle_prices =
+  let ({ spec; alpha; k; valuations; weights; _ } as c) = columns market in
+  let owner = Bundle.member_of bundles ~n_flows:(Market.n_flows market) in
+  let flow_prices = Array.map (fun b -> bundle_prices.(b)) owner in
+  let n = Array.length flow_prices in
+  let flow_demands, revenue, delivery_cost = demands_and_totals c flow_prices in
+  let consumer_surplus =
+    match spec with
+    | Market.Ced ->
+        Numerics.Stats.sum_init n (fun i ->
+            Ced.consumer_surplus ~alpha ~v:valuations.(i) flow_prices.(i))
+    | Market.Linear _ ->
+        Numerics.Stats.sum_init n (fun i ->
+            Lin.consumer_surplus ~a:valuations.(i) ~b:weights.(i) flow_prices.(i))
+    | Market.Logit _ -> Logit.consumer_surplus ~alpha ~k ~valuations ~prices:flow_prices
+  in
+  {
+    bundles;
+    bundle_prices;
+    flow_prices;
+    flow_demands;
+    profit = revenue -. delivery_cost;
+    revenue;
+    delivery_cost;
+    consumer_surplus;
+  }
+
+let optimal_bundle_prices market (bundles : Bundle.t) =
+  let groups = (bundles :> int array array) in
+  bundle_prices (columns market) ~count:(Array.length groups)
+    ~size:(fun b -> Array.length groups.(b))
+    ~member:(fun b j -> groups.(b).(j))
 
 let evaluate market bundles =
   outcome_at market bundles (optimal_bundle_prices market bundles)

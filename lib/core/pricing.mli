@@ -20,6 +20,34 @@ type outcome = {
 val welfare : outcome -> float
 (** Profit plus consumer surplus. *)
 
+type columns = {
+  spec : Market.demand_spec;
+  alpha : float;
+  k : float;  (** Logit market size; unused under CED and linear demand. *)
+  valuations : float array;
+  weights : float array;
+      (** [v^alpha] under CED, the slope [b] under linear demand, empty
+          under logit. *)
+  costs : float array;
+}
+(** A market's per-flow parameters as parallel columns, in one flow
+    order: all that pricing and the segment DP read of it. *)
+
+val columns : Market.t -> columns
+(** The market's own columns, in its flow order (no copies). *)
+
+val column_count : columns -> int
+(** The flow count. Raises [Invalid_argument] on no flows or columns of
+    different lengths. *)
+
+val contiguous : columns -> cuts:int list -> float array * float
+(** [contiguous c ~cuts] is the optimal price of each bundle and the
+    profit (revenue minus delivery cost) when [c]'s flow order is split
+    after the positions in [cuts] (strictly increasing, each in
+    [\[1, n-1\]]). No per-flow outcome and no consumer surplus; the
+    bits equal [evaluate]'s on a market with these columns under
+    [Bundle.contiguous] of its identity order. *)
+
 val evaluate : Market.t -> Bundle.t -> outcome
 (** Optimal prices for the partition. *)
 

@@ -31,9 +31,8 @@ let of_name s =
    index for determinism. Monomorphic comparisons: the keys are floats
    (Float.compare totally orders NaN exactly like the polymorphic
    compare did, so this is behavior-preserving). The index tie-break
-   makes the sorted order unique, so a key already in that order — the
-   streaming re-tier hands over cost-sorted markets — returns the
-   identity after one O(n) scan instead of a sort. *)
+   makes the sorted order unique, so a key already in that order
+   returns the identity after one O(n) scan instead of a sort. *)
 let order_by_desc (key : float array) n =
   let idx = Array.init n Fun.id in
   let sorted = ref true and k = ref 1 in
@@ -284,17 +283,15 @@ let log_sub hi lo =
    least 1 and the terms that matter neither underflow nor overflow.
    Same objective up to that constant factor; an exp and two log1p
    per evaluation more, on markets that would otherwise solve wrong. *)
-let logit_log_inputs market ~order ~vmax ~cmin ~top =
-  let { Market.alpha; valuations; costs; _ } = market in
-  let n = Array.length order in
+let logit_log_inputs ~alpha ~valuations ~costs ~vmax ~cmin ~top =
+  let n = Array.length costs in
   let lw = Float.Array.make (n + 1) Float.neg_infinity in
   let ld = Float.Array.make (n + 1) Float.neg_infinity in
   for k = 0 to n - 1 do
-    let i = order.(k) in
-    let a = alpha *. (valuations.(i) -. vmax) in
+    let a = alpha *. (valuations.(k) -. vmax) in
     Float.Array.set lw (k + 1) (log_add (Float.Array.get lw k) a);
     Float.Array.set ld (k + 1)
-      (log_add (Float.Array.get ld k) (a +. log (costs.(i) -. cmin)))
+      (log_add (Float.Array.get ld k) (a +. log (costs.(k) -. cmin)))
   done;
   let seg lo hi =
     let sw = log_sub (Float.Array.get lw (hi + 1)) (Float.Array.get lw lo) in
@@ -302,7 +299,7 @@ let logit_log_inputs market ~order ~vmax ~cmin ~top =
     else
       let sd = log_sub (Float.Array.get ld (hi + 1)) (Float.Array.get ld lo) in
       let d_bar =
-        clamp_mean ~lo:(costs.(order.(lo)) -. cmin) ~hi:(costs.(order.(hi)) -. cmin)
+        clamp_mean ~lo:(costs.(lo) -. cmin) ~hi:(costs.(hi) -. cmin)
           (exp (sd -. sw))
       in
       exp (sw -. (alpha *. d_bar) -. top)
@@ -314,41 +311,36 @@ let logit_log_inputs market ~order ~vmax ~cmin ~top =
         Float.equal (Float.Array.get lw (k + 1)) (Float.Array.get lw k)
         && Float.equal (Float.Array.get ld (k + 1)) (Float.Array.get ld k))
       ~live:(fun k ->
-        alpha *. (costs.(order.(k)) -. cmin) < 690. +. total -. top)
+        alpha *. (costs.(k) -. cmin) < 690. +. total -. top)
       ~below_mass:(fun k -> Float.Array.get lw (k + 1) < total -. (53. *. log 2.))
   in
-  (order, seg, regions)
+  (seg, regions)
 
-(* The DP inputs: flow indices in ascending-cost order, the closed-form
-   segment profit over inclusive positions of that order, and the
+(* The DP inputs over columns already in ascending-cost order: the
+   closed-form segment profit over inclusive positions and the
    piecewise-region starts for [Numerics.Segdp] (logit only; see
-   below). Exposed (see the mli) so the kernel grid test and the
-   regression suite can cross-check the kernels on exactly the
-   seg_value the strategy runs. The partition itself is delegated to
-   [Numerics.Segdp.solve]: certified SMAWK layers (region-wise
-   divide-and-conquer first when logit splits the order into regions)
-   over an exact quadratic backstop, cut-for-cut identical to the
-   historical O(B n^2) DP. Prefix rows are [floatarray]s read through unsafe gets:
-   the indices are pinned to [0, n] by construction and the closures
-   are the hottest call in the repo. *)
-let dp_inputs market =
-  let { Market.alpha; valuations; costs; spec; _ } = market in
-  let n = Market.n_flows market in
-  let order = order_by_desc (Array.map (fun c -> -.c) costs) n in
+   below). The partition itself is delegated to [Numerics.Segdp.solve]:
+   certified SMAWK layers (region-wise divide-and-conquer first when
+   logit splits the order into regions) over an exact quadratic
+   backstop, cut-for-cut identical to the historical O(B n^2) DP.
+   Prefix rows are [floatarray]s read through unsafe gets: the indices
+   are pinned to [0, n] by construction and the closures are the
+   hottest call in the repo. *)
+let dp_columns (c : Pricing.columns) =
+  let { Pricing.alpha; valuations; weights; costs; spec; _ } = c in
+  let n = Pricing.column_count c in
   let fget = Float.Array.unsafe_get in
   let fset = Float.Array.unsafe_set in
   match spec with
   | Market.Ced ->
       (* Prefix sums of v^alpha and c v^alpha in cost order give O(1)
          segment profits at the closed-form optimal bundle price. *)
-      let pva = Market.pow_valuations market in
       let av = Float.Array.make (n + 1) 0. in
       let acv = Float.Array.make (n + 1) 0. in
       for k = 0 to n - 1 do
-        let i = order.(k) in
-        let w = pva.(i) in
+        let w = weights.(k) in
         fset av (k + 1) (fget av k +. w);
-        fset acv (k + 1) (fget acv k +. (costs.(i) *. w))
+        fset acv (k + 1) (fget acv k +. (costs.(k) *. w))
       done;
       let seg lo hi =
         let sum_v = fget av (hi + 1) -. fget av lo in
@@ -358,23 +350,21 @@ let dp_inputs market =
           let price = alpha *. sum_cv /. ((alpha -. 1.) *. sum_v) in
           (price ** -.alpha) *. ((sum_v *. price) -. sum_cv)
       in
-      (order, seg, [| 0 |])
+      (seg, [| 0 |])
   | Market.Linear _ ->
       (* Prefix sums of a, b, b*c, a*c give O(1) segment profit at the
          closed-form bundle price. The common-elasticity fit makes
          a_i / b_i constant across flows, so the optimal partition is
          again contiguous in cost (the same argument as for CED). *)
-      let b_all = Market.linear_b market in
       let sa = Float.Array.make (n + 1) 0. in
       let sb = Float.Array.make (n + 1) 0. in
       let sbc = Float.Array.make (n + 1) 0. in
       let sac = Float.Array.make (n + 1) 0. in
       for k = 0 to n - 1 do
-        let i = order.(k) in
-        fset sa (k + 1) (fget sa k +. valuations.(i));
-        fset sb (k + 1) (fget sb k +. b_all.(i));
-        fset sbc (k + 1) (fget sbc k +. (b_all.(i) *. costs.(i)));
-        fset sac (k + 1) (fget sac k +. (valuations.(i) *. costs.(i)))
+        fset sa (k + 1) (fget sa k +. valuations.(k));
+        fset sb (k + 1) (fget sb k +. weights.(k));
+        fset sbc (k + 1) (fget sbc k +. (weights.(k) *. costs.(k)));
+        fset sac (k + 1) (fget sac k +. (valuations.(k) *. costs.(k)))
       done;
       let seg lo hi =
         let a_sum = fget sa (hi + 1) -. fget sa lo in
@@ -386,7 +376,7 @@ let dp_inputs market =
           let price = Lin.bundle_price ~a_sum ~b_sum ~bc_sum in
           Float.max 0. (Lin.bundle_profit ~a_sum ~b_sum ~bc_sum ~ac_sum ~price)
       in
-      (order, seg, [| 0 |])
+      (seg, [| 0 |])
   | Market.Logit _ ->
       (* Maximize S = sum_b W_b e^(-alpha c_bar_b); shift exponents so
          the segment terms stay in floating range. *)
@@ -402,26 +392,26 @@ let dp_inputs market =
          solved in log space instead. *)
       let top = ref Float.neg_infinity in
       Array.iteri
-        (fun i v ->
-          top := Float.max !top (alpha *. (v -. vmax -. (costs.(i) -. cmin))))
+        (fun k v ->
+          top := Float.max !top (alpha *. (v -. vmax -. (costs.(k) -. cmin))))
         valuations;
-      if !top < -600. then logit_log_inputs market ~order ~vmax ~cmin ~top:!top
+      if !top < -600. then
+        logit_log_inputs ~alpha ~valuations ~costs ~vmax ~cmin ~top:!top
       else begin
         let w = Float.Array.make (n + 1) 0. in
         let wc = Float.Array.make (n + 1) 0. in
         for k = 0 to n - 1 do
-          let i = order.(k) in
-          let wi = exp (alpha *. (valuations.(i) -. vmax)) in
+          let wi = exp (alpha *. (valuations.(k) -. vmax)) in
           fset w (k + 1) (fget w k +. wi);
-          fset wc (k + 1) (fget wc k +. (wi *. costs.(i)))
+          fset wc (k + 1) (fget wc k +. (wi *. costs.(k)))
         done;
-        let cs = Float.Array.init n (fun k -> costs.(order.(k))) in
         let seg lo hi =
           let sum_w = fget w (hi + 1) -. fget w lo in
           if sum_w <= 0. then 0.
           else
             let c_bar =
-              clamp_mean ~lo:(fget cs lo) ~hi:(fget cs hi)
+              clamp_mean ~lo:(Array.unsafe_get costs lo)
+                ~hi:(Array.unsafe_get costs hi)
                 ((fget wc (hi + 1) -. fget wc lo) /. sum_w)
             in
             sum_w *. exp (-.alpha *. (c_bar -. cmin))
@@ -432,11 +422,31 @@ let dp_inputs market =
             ~flat:(fun k ->
               Float.equal (fget w (k + 1)) (fget w k)
               && Float.equal (fget wc (k + 1)) (fget wc k))
-            ~live:(fun k -> alpha *. (costs.(order.(k)) -. cmin) < 690.)
+            ~live:(fun k -> alpha *. (costs.(k) -. cmin) < 690.)
             ~below_mass:(fun k -> fget w (k + 1) < total_w *. 0x1p-53)
         in
-        (order, seg, regions)
+        (seg, regions)
       end
+
+(* [dp_columns] over the market's columns gathered into cost order
+   (ties by index). *)
+let dp_inputs market =
+  let n = Market.n_flows market in
+  let order = order_by_desc (Array.map (fun c -> -.c) market.Market.costs) n in
+  let c = Pricing.columns market in
+  let gather col =
+    if Array.length col = 0 then col else Array.map (fun i -> col.(i)) order
+  in
+  let seg, regions =
+    dp_columns
+      {
+        c with
+        Pricing.valuations = gather c.Pricing.valuations;
+        weights = gather c.Pricing.weights;
+        costs = gather c.Pricing.costs;
+      }
+  in
+  (order, seg, regions)
 
 let optimal_dp market ~n_bundles =
   let order, seg_value, regions = dp_inputs market in

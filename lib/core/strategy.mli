@@ -59,24 +59,28 @@ val curve : t -> Market.t -> max_bundles:int -> Bundle.t array
     weights and sorts. Raises [Invalid_argument] when
     [max_bundles < 1]. *)
 
-val dp_inputs : Market.t -> int array * (int -> int -> float) * int array
-(** [dp_inputs market] is [(order, seg_value, regions)]: flow indices
-    in ascending-cost order (ties by index), the closed-form segment
-    profit of the contiguous run of positions [lo..hi] (inclusive) of
-    [order] under the market's demand spec, and the piecewise-region
-    starts to pass to {!Numerics.Segdp.solve} — exactly the inputs
-    [Optimal]'s DP runs on. [regions] is [[|0|]] for CED/linear; for
+val dp_columns : Pricing.columns -> (int -> int -> float) * int array
+(** [dp_columns c] is [(seg_value, regions)] over columns already in
+    ascending-cost order: the closed-form segment profit of the
+    contiguous run of positions [lo..hi] (inclusive) under the columns'
+    demand spec, and the piecewise-region starts to pass to
+    {!Numerics.Segdp.solve}. [regions] is [[|0|]] for CED/linear; for
     logit it splits the cost order at clamped/underflowed prefix-sum
     ranges and at the exp-saturation point, so each region's segment
     profit is a single smooth, inverse-Monge branch. A logit market
     whose single-flow terms would all underflow in those units is
     solved in log space, scaled by its largest term (DESIGN.md §11):
-    same partition objective, slower evaluations. Exposed for the
-    kernel grid test and the fast-vs-quadratic regression suite. O(n)
-    setup when the market's flows are already in that order (the
-    streaming re-tier builds them so; [order] is then the identity),
-    O(n log n) otherwise; each [seg_value] call is O(1) off prefix
-    sums. *)
+    same partition objective, slower evaluations. O(n) setup; each
+    [seg_value] call is O(1) off prefix sums. Raises [Invalid_argument]
+    as {!Pricing.column_count} does. *)
+
+val dp_inputs : Market.t -> int array * (int -> int -> float) * int array
+(** [dp_inputs market] is [(order, seg_value, regions)]: flow indices
+    in ascending-cost order (ties by index) and {!dp_columns} over the
+    market's columns gathered into that order — exactly the inputs
+    [Optimal]'s DP runs on. Exposed for the kernel grid test and the
+    fast-vs-quadratic regression suite. O(n) setup plus a sort when the
+    flows are not yet in cost order. *)
 
 val token_bucket : weights:float array -> order:int array -> n_bundles:int -> Bundle.t
 (** The paper's token-bucket grouping: budget [sum w / B] per bundle,

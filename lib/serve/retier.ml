@@ -35,14 +35,22 @@ type params = {
   use_cache : bool;
 }
 
-(* The per-position signature the dirty detection runs on: positions
-   are the DP's cost order, so an unchanged prefix of signatures means
-   an unchanged prefix of segment values (under CED; see [dirty_from]
-   for the logit caveat). The signature keys on demand rather than
-   valuation: the valuation is a fixed bijection of demand under the
-   frozen calibration, so equality of (cost, demand, id) is equality of
-   the DP inputs — and unchanged windows never pay the inversion. *)
-type sig_entry = { g_cost : float; g_q : float; g_uid : int }
+(* The window's signature in the DP's cost order, as parallel
+   columns: positions are (cost, flow id, uid) order, so an unchanged
+   prefix of the columns means an unchanged prefix of segment values
+   (under CED; see [dirty_from] for the logit caveat). It keys on
+   demand rather than valuation: the valuation is a fixed bijection of
+   demand under the frozen calibration, so equal columns are equal DP
+   inputs — and unchanged windows never pay the inversion. Each column
+   holds exactly the window's flows; its buffers are rewritten in place
+   while the flow count stays the same. *)
+type signature = {
+  mutable costs : float array;  (* frozen absolute cost *)
+  mutable qs : float array;  (* demand, Mbps *)
+  mutable ids : int array;  (* flow id *)
+}
+
+let empty_signature () = { costs = [||]; qs = [||]; ids = [||] }
 
 type solved = { s_cuts : int list; s_prices : float array; s_profit : float }
 
@@ -58,6 +66,8 @@ type calib = {
   mutable cost : float array;  (* window uid -> gamma * rel_cost *)
   mutable rank : int array;  (* window uid -> index in [sorted]; -1 unpriced *)
   mutable sorted : int array;  (* every priced uid, by (cost, id, uid) *)
+  mutable sorted_cost : float array;  (* rank -> cost *)
+  mutable sorted_id : int array;  (* rank -> flow id *)
   mutable slot : int array;  (* rank -> window index; -1 between scans *)
 }
 
@@ -71,8 +81,9 @@ type t = {
          so the per-window join is an array probe, not a rehash of
          every endpoint pair. *)
   mutable dp : Numerics.Segdp.state option;
-  mutable dp_sig : sig_entry array;  (* signature the retained state solved *)
-  mutable last : solved option;  (* priced outcome matching [dp_sig] *)
+  mutable sig_solved : signature;  (* what the retained state solved *)
+  mutable sig_window : signature;  (* this window's; swapped in on a solve *)
+  mutable last : solved option;  (* priced outcome matching [sig_solved] *)
   mutable solves : int;  (* warm/cold solves, for the cold_every drill *)
 }
 
@@ -94,7 +105,8 @@ let create params ~meta_of =
     calib = None;
     meta_memo = [||];
     dp = None;
-    dp_sig = [||];
+    sig_solved = empty_signature ();
+    sig_window = empty_signature ();
     last = None;
     solves = 0;
   }
@@ -198,6 +210,8 @@ let ensure_calibrated t uids qs =
           cost = [||];
           rank = [||];
           sorted = [||];
+          sorted_cost = [||];
+          sorted_id = [||];
           slot = [||];
         }
       in
@@ -223,9 +237,11 @@ let admit t c uids qs =
     (fun i uid ->
       c.rank <- grow c.rank (uid + 1) (-1);
       if c.rank.(uid) < 0 then begin
+        let cost = c.gamma *. c.rel_cost (flow_of_meta (meta t uid) ~mbps:qs.(i)) in
+        if not (cost > 0.) then
+          invalid_arg "Serve.Retier: frozen costs must be positive";
         c.cost <- grow c.cost (uid + 1) Float.nan;
-        c.cost.(uid) <-
-          c.gamma *. c.rel_cost (flow_of_meta (meta t uid) ~mbps:qs.(i));
+        c.cost.(uid) <- cost;
         (* Priced; the merge below ranks it. *)
         c.rank.(uid) <- max_int;
         fresh := uid :: !fresh
@@ -256,67 +272,68 @@ let admit t c uids qs =
       c.rank.(uid) <- r
     done;
     c.sorted <- sorted;
+    c.sorted_cost <- Array.map (fun uid -> c.cost.(uid)) sorted;
+    c.sorted_id <- Array.map (fun uid -> (meta t uid).m_id) sorted;
     c.slot <- Array.make (nk + nf) (-1)
   end
 
-(* The cheap per-window pass: absolute costs off the retained order, the
-   window's (cost, id) order that makes [Strategy.dp_inputs]'s cost
-   order the identity — a presence scan, O(priced flows + n) — and the
-   signature. Valuations and the market itself are *not* built here —
-   an unchanged window stops after comparing signatures. *)
+(* The cheap per-window pass: absolute costs off the retained order and
+   the window's signature in (cost, id) order — a presence scan,
+   O(priced flows + n), into [t.sig_window]. Valuations are *not* filled
+   here — an unchanged window stops after comparing signatures. *)
 let inputs_of t uids qs =
   let c = ensure_calibrated t uids qs in
   admit t c uids qs;
   let n = Array.length uids in
   Array.iteri (fun i uid -> c.slot.(c.rank.(uid)) <- i) uids;
-  let perm = Array.make n 0 in
+  let s = t.sig_window in
+  if Array.length s.costs <> n then begin
+    s.costs <- Array.make n 0.;
+    s.qs <- Array.make n 0.;
+    s.ids <- Array.make n 0
+  end;
   let p = ref 0 in
   Array.iteri
     (fun r i ->
       if i >= 0 then begin
-        perm.(!p) <- i;
+        s.costs.(!p) <- c.sorted_cost.(r);
+        s.qs.(!p) <- qs.(i);
+        s.ids.(!p) <- c.sorted_id.(r);
         incr p;
         c.slot.(r) <- -1
       end)
     c.slot;
-  let costs = Array.map (fun i -> c.cost.(uids.(i))) perm in
-  let signature =
-    Array.init n (fun p ->
-        let i = perm.(p) in
-        { g_cost = costs.(p); g_q = qs.(i); g_uid = (meta t uids.(i)).m_id })
-  in
-  (perm, costs, signature)
+  s
 
-(* Rebuild the window's market from the frozen calibration: valuations
-   track the demands (per-flow closed form under CED, global inversion
-   under logit) over the flows in [inputs_of]'s (cost, id) order. *)
-let market_of t uids qs perm costs =
+(* The window's market as cost-ordered columns under the frozen
+   calibration: valuations track the demands (per-flow closed form
+   under CED, global inversion under logit). *)
+let columns_of t (s : signature) =
   let { spec; alpha; p0; _ } = t.params in
-  let sorted =
-    Array.map (fun i -> flow_of_meta (meta t uids.(i)) ~mbps:qs.(i)) perm
-  in
-  let valuations, k =
-    match spec with
-    | Market.Ced ->
-        ( Array.map
-            (fun i ->
-              Tiered.Ced.valuation_of_demand ~alpha ~p0 ~q:qs.(i))
-            perm,
-          None )
-    | Market.Logit { s0 } ->
-        let fit =
-          Tiered.Logit.fit_valuations ~alpha ~p0 ~s0
-            ~demands:(Array.map (fun i -> qs.(i)) perm)
-        in
-        (fit.Tiered.Logit.valuations, Some fit.Tiered.Logit.k)
-    | Market.Linear _ -> assert false (* rejected by [create] *)
-  in
-  Market.of_parameters ~spec ~alpha ~p0 ?k ~valuations ~costs sorted
-
-let sig_equal a b =
-  Float.equal a.g_cost b.g_cost
-  && Float.equal a.g_q b.g_q
-  && Int.equal a.g_uid b.g_uid
+  match spec with
+  | Market.Ced ->
+      let valuations =
+        Array.map (fun q -> Tiered.Ced.valuation_of_demand ~alpha ~p0 ~q) s.qs
+      in
+      {
+        Tiered.Pricing.spec;
+        alpha;
+        k = Float.nan;
+        valuations;
+        weights = Array.map (fun v -> v ** alpha) valuations;
+        costs = s.costs;
+      }
+  | Market.Logit { s0 } ->
+      let fit = Tiered.Logit.fit_valuations ~alpha ~p0 ~s0 ~demands:s.qs in
+      {
+        Tiered.Pricing.spec;
+        alpha;
+        k = fit.Tiered.Logit.k;
+        valuations = fit.Tiered.Logit.valuations;
+        weights = [||];
+        costs = s.costs;
+      }
+  | Market.Linear _ -> assert false (* rejected by [create] *)
 
 (* First changed DP position of a window with the retained state's flow
    count, [n] when nothing changed. Logit's segment values carry
@@ -324,10 +341,15 @@ let sig_equal a b =
    inversion moves every valuation on any change, so a partially-clean
    prefix cannot be trusted there: the choice collapses to all
    (identical signature) or nothing. *)
-let dirty_from t signature =
-  let n = Array.length signature in
+let dirty_from t (s : signature) =
+  let n = Array.length s.costs and r = t.sig_solved in
   let d = ref 0 in
-  while !d < n && sig_equal t.dp_sig.(!d) signature.(!d) do
+  while
+    !d < n
+    && Float.equal r.costs.(!d) s.costs.(!d)
+    && Float.equal r.qs.(!d) s.qs.(!d)
+    && Int.equal r.ids.(!d) s.ids.(!d)
+  do
     incr d
   done;
   match t.params.spec with
@@ -335,14 +357,9 @@ let dirty_from t signature =
   | Market.Logit _ -> if !d = n then n else 0
   | Market.Linear _ -> assert false
 
-let priced market order (r : Numerics.Segdp.result) =
-  let bundles = Tiered.Bundle.contiguous ~order ~cuts:r.Numerics.Segdp.cuts in
-  let outcome = Tiered.Pricing.evaluate market bundles in
-  {
-    s_cuts = r.Numerics.Segdp.cuts;
-    s_prices = outcome.Tiered.Pricing.bundle_prices;
-    s_profit = outcome.Tiered.Pricing.profit;
-  }
+let priced columns (r : Numerics.Segdp.result) =
+  let prices, profit = Tiered.Pricing.contiguous columns ~cuts:r.Numerics.Segdp.cuts in
+  { s_cuts = r.Numerics.Segdp.cuts; s_prices = prices; s_profit = profit }
 
 let cache_key t signature =
   let { spec; alpha; p0; n_bundles; cost_model; _ } = t.params in
@@ -353,14 +370,16 @@ let cache_key t signature =
     n_bundles,
     Tiered.Cost_model.name cost_model,
     Tiered.Cost_model.theta cost_model,
-    Array.map (fun g -> (g.g_cost, g.g_q, g.g_uid)) signature )
+    signature.costs,
+    signature.qs,
+    signature.ids )
 
 let retier t (snap : Window.snapshot) =
   let uids, qs, skipped = join t snap in
   let n = Array.length uids in
   if n = 0 then empty_outcome ~bin:snap.Window.s_bin ~skipped
   else begin
-    let perm, costs, signature = inputs_of t uids qs in
+    let signature = inputs_of t uids qs in
     let solve = ref `Cached in
     let dirty = ref n in
     let evals = ref 0 in
@@ -386,13 +405,13 @@ let retier t (snap : Window.snapshot) =
       | Some (_, d), Some s when d = n && not force ->
           (* Signature-identical window and no drill due: the retained
              optimum and its pricing still stand verbatim, so skip the
-             market rebuild, the DP replay and the re-pricing outright. *)
+             valuations, the DP replay and the re-pricing outright. *)
           solve := `Unchanged;
           s
       | _ ->
           t.solves <- t.solves + 1;
-          let market = market_of t uids qs perm costs in
-          let order, seg_value, regions = Tiered.Strategy.dp_inputs market in
+          let columns = columns_of t signature in
+          let seg_value, regions = Tiered.Strategy.dp_columns columns in
           let result, how =
             match warm with
             | Some (st, d) ->
@@ -421,8 +440,9 @@ let retier t (snap : Window.snapshot) =
           fallback :=
             force
             || result.Numerics.Segdp.stats.Numerics.Segdp.fallback_layers > 0;
-          t.dp_sig <- signature;
-          let s = priced market order result in
+          t.sig_window <- t.sig_solved;
+          t.sig_solved <- signature;
+          let s = priced columns result in
           t.last <- Some s;
           s
     in
@@ -451,14 +471,13 @@ let solve_cold t (snap : Window.snapshot) =
   let n = Array.length uids in
   if n = 0 then empty_outcome ~bin:snap.Window.s_bin ~skipped
   else begin
-    let perm, costs, _ = inputs_of t uids qs in
-    let market = market_of t uids qs perm costs in
-    let order, seg_value, regions = Tiered.Strategy.dp_inputs market in
+    let columns = columns_of t (inputs_of t uids qs) in
+    let seg_value, regions = Tiered.Strategy.dp_columns columns in
     let r =
       Numerics.Segdp.solve ~samples:t.params.samples ~regions ~n
         ~n_bundles:t.params.n_bundles seg_value
     in
-    let s = priced market order r in
+    let s = priced columns r in
     {
       o_bin = snap.Window.s_bin;
       o_n_flows = n;

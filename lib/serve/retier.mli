@@ -10,14 +10,19 @@
        given, so refitting per window would reprice {e every} flow on
        any change and kill incrementality. Instead the first non-empty
        window calibrates once — γ from the fit, relative costs pinned by
-       {!Tiered.Cost_model.freeze} — and later windows rebuild the
-       market via [Market.of_parameters] with only the valuations
-       tracking demand (per-flow closed form under CED; the global
-       logit inversion otherwise).}
+       {!Tiered.Cost_model.freeze} — and each flow's frozen cost is
+       computed once, when the flow is first priced. A window is then
+       a set of cost-ordered columns: the frozen costs, and valuations
+       filled from the demands (per-flow closed form under CED; the
+       global logit inversion otherwise). No flow record or market is
+       built per window: the columns go straight to
+       {!Tiered.Strategy.dp_columns} and {!Tiered.Pricing.contiguous},
+       which prices the cuts and their profit without the consumer
+       surplus.}
     {- {b Positional dirty detection.} Flows are pre-sorted by (absolute
        cost, flow id), making the DP's cost order the identity; the
-       window's signature is the per-position (cost, valuation, id)
-       triple and [dirty_from] is the first position whose triple
+       window's signature is the (cost, demand, id) columns and
+       [dirty_from] is the first position where one of them
        changed. Under CED the segment values left of [dirty_from] are
        bitwise unchanged (prefix sums of per-flow terms), so
        {!Numerics.Segdp.solve_warm} recomputes only the dirty suffix.
@@ -74,9 +79,9 @@ val create :
   params ->
   meta_of:(Flowgen.Ipv4.t -> Flowgen.Ipv4.t -> flow_meta option) ->
   t
-(** Raises [Invalid_argument] on [Linear] demand (no parametric rebuild
-    exists for it — see [Market.of_parameters]), [n_bundles < 1],
-    [samples < 0] or [cold_every < 0]. *)
+(** Raises [Invalid_argument] on [Linear] demand (the re-tier fills CED
+    and logit valuation columns only), [n_bundles < 1], [samples < 0]
+    or [cold_every < 0]. *)
 
 type outcome = {
   o_bin : int;  (** Window bin the tiers were posted at. *)
@@ -102,7 +107,9 @@ type outcome = {
 val retier : t -> Window.snapshot -> outcome
 (** Solve the window (calibrating on the first non-empty one) and
     advance the retained state. An empty window posts no tiers and
-    leaves all state untouched. *)
+    leaves all state untouched. Raises [Invalid_argument] when a flow's
+    frozen cost is not positive (checked once per flow, when it is
+    first priced). *)
 
 val solve_cold : t -> Window.snapshot -> outcome
 (** Reference from-scratch solve of the same window: identical market
