@@ -34,7 +34,14 @@
    The exact quadratic row is the certified backstop: a structurally
    hostile seg_value degrades to the quadratic DP rather than to wrong
    cuts. [samples = 0] turns validation off and takes the D&C
-   unchecked, whatever the region count. *)
+   unchecked, whatever the region count.
+
+   A layer's exact columns sit at positions that depend on (n, b,
+   samples) only ([cert_column]), so the layers share all but their
+   first. A solve builds every layer's first rung, then certifies them
+   all in one sweep that evaluates each shared [seg i j] once: about
+   samples * n / 2 evaluations per solve rather than per layer. From the first rejected
+   layer on, the ladder runs one layer at a time. *)
 
 type stats = {
   layers : int;
@@ -163,12 +170,26 @@ let dandc_regions ~prev ~cur ~choice_row ~seg ~b ~n ~regions ~jlo0 =
     end
   done
 
-(* SMAWK's working storage, owned by one solve (or one retained state)
-   and grown on demand — never shared, since pool domains solve
-   concurrently. *)
-type scratch = { mutable sm_cols : int array; mutable sm_vals : float array }
+(* Working storage owned by one solve (or one retained state) — never
+   shared, since pool domains solve concurrently: SMAWK's candidate
+   stacks, grown on demand, and [certify]'s per-layer cursor and running
+   exact (best, argmax), sized by the layer count. *)
+type scratch = {
+  mutable sm_cols : int array;
+  mutable sm_vals : float array;
+  ce_k : int array;  (* index of the next [cert_column] *)
+  ce_best : float array;
+  ce_arg : int array;  (* -1: the layer does not check this column *)
+}
 
-let new_scratch () = { sm_cols = [||]; sm_vals = [||] }
+let new_scratch layers =
+  {
+    sm_cols = [||];
+    sm_vals = [||];
+    ce_k = Array.make layers 0;
+    ce_best = Array.make layers 0.;
+    ce_arg = Array.make layers 0;
+  }
 
 let reserve scratch n =
   if Array.length scratch.sm_cols < 3 * n then begin
@@ -309,37 +330,6 @@ let sample_int state bound =
   state := s;
   Int64.to_int (Int64.rem (Int64.logand s Int64.max_int) (Int64.of_int bound))
 
-(* The certificate shared by every fast rung: exact re-solve of up to
-   [samples] evenly spaced columns — value and argmax must match
-   bit-for-bit — plus every region-start column (strided down to
-   [samples] when the decomposition is finer), because the boundaries
-   are exactly where the region-wise D&C re-anchors. *)
-let columns_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples ~regions =
-  let ok = ref true in
-  let check j =
-    let best, best_i = exact_best ~prev ~seg ~b j in
-    if (not (Float.equal cur.(j) best)) || choice_row.(j) <> best_i then
-      ok := false
-  in
-  let cols = Stdlib.min samples (n - b) in
-  let k = ref 0 in
-  while !ok && !k < cols do
-    let j = if cols = 1 then n - 1 else b + (!k * (n - 1 - b) / (cols - 1)) in
-    check j;
-    incr k
-  done;
-  let nreg = Array.length regions in
-  if !ok && nreg > 1 && samples > 0 then begin
-    let stride = 1 + ((nreg - 1) / samples) in
-    let r = ref 1 in
-    while !ok && !r < nreg do
-      let j = Stdlib.max b regions.(!r) in
-      if j < n then check j;
-      r := !r + stride
-    done
-  end;
-  !ok
-
 (* Rung-1 probe: [samples] adjacent inverse-Monge quadruples on
    seg_value alone, with the column pair (j, j+1) drawn inside one
    region. The dp_{b-1} terms cancel exactly in the real-arithmetic
@@ -395,13 +385,6 @@ let tm_valid ~prev ~seg ~b ~n ~samples =
     !ok
   end
 
-(* SMAWK's certificate: the TM probe plus the shared exact columns,
-   over the whole layer. *)
-let smawk_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples =
-  tm_valid ~prev ~seg ~b ~n ~samples
-  && columns_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples
-       ~regions:no_regions
-
 (* Which rung a layer tries first. Single-region layers under
    validation start on SMAWK: linear evaluations per layer, and no Monge
    probe in front of it — the seg-only probe rejects layers whose TM
@@ -411,54 +394,21 @@ let smawk_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples =
 let smawk_first ~samples ~regions = samples > 0 && Array.length regions = 1
 
 (* A layer's first rung over columns [max b jlo0, n), and whether its
-   certificate holds. *)
+   probe holds; its exact columns are left to [certify]. *)
 let first_rung ~scratch ~samples ~regions ~prev ~cur ~choice_row ~seg ~b ~n
     ~jlo0 =
   if smawk_first ~samples ~regions then begin
     smawk_layer ~scratch ~prev ~cur ~choice_row ~seg ~b ~n ~jlo0;
-    smawk_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples
+    tm_valid ~prev ~seg ~b ~n ~samples
   end
   else begin
     dandc_regions ~prev ~cur ~choice_row ~seg ~b ~n ~regions ~jlo0;
-    samples = 0
-    || (monge_valid ~seg ~b ~n ~samples ~regions
-       && columns_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples ~regions)
+    samples = 0 || monge_valid ~seg ~b ~n ~samples ~regions
   end
 
 type counts = { mutable smawk : int; mutable fallback : int }
 
 let no_counts () = { smawk = 0; fallback = 0 }
-
-(* One cold layer through the ladder: the first rung; SMAWK over the
-   full layer when the first rung was a rejected D&C; the exact row
-   when every fast rung was rejected. *)
-let ladder_layer ~scratch ~samples ~regions ~counts ~prev ~cur ~choice_row
-    ~seg ~b ~n =
-  let reset () =
-    Array.fill cur 0 n Float.neg_infinity;
-    Array.fill choice_row 0 n 0
-  in
-  let first = smawk_first ~samples ~regions in
-  let rung =
-    if
-      first_rung ~scratch ~samples ~regions ~prev ~cur ~choice_row ~seg ~b ~n
-        ~jlo0:0
-    then if first then `Smawk else `Dandc
-    else if first then `Exact
-    else begin
-      reset ();
-      smawk_layer ~scratch ~prev ~cur ~choice_row ~seg ~b ~n ~jlo0:0;
-      if smawk_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples then `Smawk
-      else `Exact
-    end
-  in
-  match rung with
-  | `Dandc -> ()
-  | `Smawk -> counts.smawk <- counts.smawk + 1
-  | `Exact ->
-      counts.fallback <- counts.fallback + 1;
-      reset ();
-      exact_layer ~prev ~cur ~choice_row ~seg ~b ~n
 
 let traceback ~choice ~best_b ~n =
   let rec go b j acc =
@@ -508,7 +458,7 @@ let new_state ~n ~n_bundles ~regions =
     st_choice = Array.make_matrix b_max n 0;
     st_last = Array.make b_max Float.neg_infinity;
     st_regions = regions;
-    st_scratch = new_scratch ();
+    st_scratch = new_scratch b_max;
   }
 
 let state_n st = st.st_n
@@ -545,32 +495,158 @@ let finish ?cap st ~layers ~counts ~evaluations =
       };
   }
 
-(* The one DP fill: the base layer, then every later layer from scratch
-   through [layer], written into the state's retained rows. *)
-let fill ~layer st seg =
-  let n = st.st_n in
-  let dp = st.st_dp and choice = st.st_choice and last = st.st_last in
-  for j = 0 to n - 1 do
-    dp.(0).(j) <- seg 0 j
+(* The base layer's columns [from, n). *)
+let base_layer st seg ~from =
+  let row = st.st_dp.(0) in
+  for j = from to st.st_n - 1 do
+    row.(j) <- seg 0 j
   done;
-  last.(0) <- dp.(0).(n - 1);
-  for b = 1 to st.st_b_max - 1 do
-    let cur = dp.(b) in
-    Array.fill cur 0 n Float.neg_infinity;
-    layer ~prev:dp.(b - 1) ~cur ~choice_row:choice.(b) ~seg ~b;
-    last.(b) <- cur.(n - 1)
-  done
+  st.st_last.(0) <- row.(st.st_n - 1)
 
+(* Column [k] of layer [b]'s certificate, [n] past the last. The first
+   [cols = min samples (n - b)] are evenly spaced over [0, n) but never
+   left of [b + k] ([b] first, [n - 1] last, all distinct); they depend
+   on (n, b, samples) alone, so once n >> b * samples every layer's
+   [k >= 1] columns coincide. Then, with several regions, every region
+   start (strided down to [samples]), where the D&C re-anchors. *)
+let cert_column ~n ~samples ~regions ~b k =
+  let cols = Stdlib.min samples (n - b) and nreg = Array.length regions in
+  if k < cols then
+    if cols = 1 then n - 1 else Stdlib.max (b + k) (k * (n - 1) / (cols - 1))
+  else
+    let r = 1 + ((k - cols) * (1 + ((nreg - 1) / Stdlib.max samples 1))) in
+    if samples > 0 && r < nreg then Stdlib.max b regions.(r) else n
+
+(* The certificate shared by every fast rung, for layers [lo .. hi] in
+   one sweep: each layer re-solves its [cert_column]s exactly, value and
+   argmax bit-for-bit. Each step takes the smallest next column j over
+   the layers and computes every [seg i j] once, folding it into the
+   running (best, argmax) of each layer b <= i whose next column is j,
+   with the exact row's strict [>] update. Returns the first failing
+   layer, or [hi + 1]; layers above a failure are no longer checked. *)
+let certify ~samples ~regions st seg ~lo ~hi =
+  let n = st.st_n and dp = st.st_dp and choice = st.st_choice in
+  let { ce_k = ks; ce_best = best; ce_arg = arg; _ } = st.st_scratch in
+  Array.fill ks 0 (Array.length ks) 0;
+  let next b = cert_column ~n ~samples ~regions ~b ks.(b) in
+  let failed = ref (hi + 1) and col = ref 0 in
+  while !col < n do
+    col := n;
+    for b = lo to !failed - 1 do
+      col := Stdlib.min !col (next b)
+    done;
+    let j = !col and low = ref !failed in
+    if j < n then begin
+      for b = !failed - 1 downto lo do
+        if next b = j then begin
+          ks.(b) <- ks.(b) + 1;
+          best.(b) <- Float.neg_infinity;
+          arg.(b) <- 0;
+          low := b
+        end
+        else arg.(b) <- -1
+      done;
+      for i = !low to j do
+        let s = seg i j in
+        for b = !low to Stdlib.min i (!failed - 1) do
+          if iget arg b >= 0 then begin
+            let candidate = fget dp.(b - 1) (i - 1) +. s in
+            if candidate > fget best b then begin
+              best.(b) <- candidate;
+              arg.(b) <- i
+            end
+          end
+        done
+      done;
+      for b = !failed - 1 downto !low do
+        if
+          arg.(b) >= 0
+          && ((not (Float.equal dp.(b).(j) best.(b)))
+             || choice.(b).(j) <> arg.(b))
+        then failed := b
+      done
+    end
+  done;
+  !failed
+
+(* Every later layer's first rung over columns [max b jlo0, n), each
+   built on the one below and stopping after the first failed probe,
+   then one [certify] sweep over the layers whose probes held. Returns
+   the first layer whose probe or columns failed ([b_max] when none
+   did) and counts the SMAWK layers below it. *)
+let first_rungs ~samples ~counts st seg ~jlo0 =
+  let n = st.st_n and regions = st.st_regions in
+  let dp = st.st_dp and choice = st.st_choice in
+  let b = ref 1 and probed = ref true in
+  while !probed && !b < st.st_b_max do
+    let b' = !b in
+    probed :=
+      first_rung ~scratch:st.st_scratch ~samples ~regions ~prev:dp.(b' - 1)
+        ~cur:dp.(b') ~choice_row:choice.(b') ~seg ~b:b' ~n ~jlo0;
+    st.st_last.(b') <- dp.(b').(n - 1);
+    incr b
+  done;
+  let hi = if !probed then st.st_b_max - 1 else !b - 2 in
+  let bad = certify ~samples ~regions st seg ~lo:1 ~hi in
+  if smawk_first ~samples ~regions then counts.smawk <- bad - 1;
+  bad
+
+(* Layer [b] alone through the ladder, each rung certified by its probe
+   and [certify] on this layer: the first rung (unless [from_first] is
+   false, after a rejected first rung); SMAWK over the full layer when
+   the first rung was a rejected D&C; the exact row when every fast rung
+   was rejected. Every rung rewrites all of columns [b, n), the only
+   ones a layer's successor, the traceback and the checks read. *)
+let ladder_layer ~samples ~counts st seg ~b ~from_first =
+  let n = st.st_n and regions = st.st_regions and scratch = st.st_scratch in
+  let prev = st.st_dp.(b - 1) and cur = st.st_dp.(b) in
+  let choice_row = st.st_choice.(b) in
+  let certified regions = certify ~samples ~regions st seg ~lo:b ~hi:b > b in
+  let first = smawk_first ~samples ~regions in
+  let rung =
+    if
+      from_first
+      && first_rung ~scratch ~samples ~regions ~prev ~cur ~choice_row ~seg ~b
+           ~n ~jlo0:0
+      && certified regions
+    then if first then `Smawk else `Dandc
+    else if first then `Exact
+    else begin
+      smawk_layer ~scratch ~prev ~cur ~choice_row ~seg ~b ~n ~jlo0:0;
+      if tm_valid ~prev ~seg ~b ~n ~samples && certified no_regions then
+        `Smawk
+      else `Exact
+    end
+  in
+  (match rung with
+  | `Dandc -> ()
+  | `Smawk -> counts.smawk <- counts.smawk + 1
+  | `Exact ->
+      counts.fallback <- counts.fallback + 1;
+      exact_layer ~prev ~cur ~choice_row ~seg ~b ~n);
+  st.st_last.(b) <- cur.(n - 1)
+
+(* The cold fill into the state's retained rows: every layer's first
+   rung, certified in one sweep; from the first rejected layer on, the
+   ladder one layer at a time (its successors were built on a rejected
+   layer, so they restart from their first rung). *)
 let fill_ladder ~samples ~counts st seg =
-  fill st seg ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
-      ladder_layer ~scratch:st.st_scratch ~samples ~regions:st.st_regions
-        ~counts ~prev ~cur ~choice_row ~seg ~b ~n:st.st_n)
+  base_layer st seg ~from:0;
+  let bad = first_rungs ~samples ~counts st seg ~jlo0:0 in
+  for b = bad to st.st_b_max - 1 do
+    ladder_layer ~samples ~counts st seg ~b ~from_first:(b > bad)
+  done
 
 let solve_quadratic ~n ~n_bundles seg_value =
   let st = new_state ~n ~n_bundles ~regions:no_regions in
   let seg, evals = counted seg_value in
-  fill st seg ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
-      exact_layer ~prev ~cur ~choice_row ~seg ~b ~n);
+  base_layer st seg ~from:0;
+  for b = 1 to st.st_b_max - 1 do
+    let cur = st.st_dp.(b) in
+    exact_layer ~prev:st.st_dp.(b - 1) ~cur ~choice_row:st.st_choice.(b) ~seg
+      ~b ~n;
+    st.st_last.(b) <- cur.(n - 1)
+  done;
   finish st ~layers:st.st_b_max ~counts:(no_counts ()) ~evaluations:!evals
 
 let solve_with_state ?(samples = 16) ?(regions = no_regions) ~n ~n_bundles
@@ -584,27 +660,11 @@ let solve ?samples ?regions ~n ~n_bundles seg_value =
   fst (solve_with_state ?samples ?regions ~n ~n_bundles seg_value)
 
 (* Recompute columns [d, n) of every layer through the layer's first
-   rung, each layer certified as a cold first rung is; [false] as soon
-   as one certificate fails. *)
+   rung, all layers certified as a cold fill's first rungs are; [false]
+   when a probe or a column fails. *)
 let warm_suffix ~samples ~counts st seg ~d =
-  let n = st.st_n and regions = st.st_regions in
-  let dp = st.st_dp and choice = st.st_choice and last = st.st_last in
-  for j = d to n - 1 do
-    dp.(0).(j) <- seg 0 j
-  done;
-  last.(0) <- dp.(0).(n - 1);
-  let ok = ref true and b = ref 1 in
-  while !ok && !b < st.st_b_max do
-    let b' = !b in
-    ok :=
-      first_rung ~scratch:st.st_scratch ~samples ~regions ~prev:dp.(b' - 1)
-        ~cur:dp.(b') ~choice_row:choice.(b') ~seg ~b:b' ~n
-        ~jlo0:(Stdlib.max b' d);
-    if !ok && smawk_first ~samples ~regions then counts.smawk <- counts.smawk + 1;
-    last.(b') <- dp.(b').(n - 1);
-    incr b
-  done;
-  !ok
+  base_layer st seg ~from:d;
+  first_rungs ~samples ~counts st seg ~jlo0:d = st.st_b_max
 
 let solve_warm ?(samples = 16) ?regions ?(force_fallback = false) st
     ~dirty_from seg_value =

@@ -44,7 +44,11 @@ type stats = {
       (** Layers that exhausted both fast rungs and were recomputed with
           the exact quadratic row ([solve] only; always [0] for
           [solve_quadratic]). *)
-  evaluations : int;  (** Total [seg_value] calls, checks included. *)
+  evaluations : int;
+      (** Total [seg_value] calls, checks included. The exact columns
+          of every layer are checked in one sweep that evaluates each
+          shared [seg i j] once: about [samples * n / 2] calls per
+          solve, not per layer. *)
   regions : int;
       (** Number of piecewise regions the solve ran with ([1] when no
           decomposition was supplied). *)
@@ -77,9 +81,13 @@ val solve :
     region-wise D&C, then SMAWK, then exact fallback, on several);
     cut-for-cut identical to [solve_quadratic] on every input whose
     hostile structure the spot-checks detect — and the checks fail
-    toward the backstop, NaN included. [samples] bounds the exact column
-    re-solves and the Monge/TM probes per layer (default [16]; [0]
-    disables validation and accepts the D&C rung outright). [regions]
+    toward the backstop, NaN included. [samples] bounds the Monge/TM
+    probes per layer and sets its exact column re-solves: layer [b]
+    checks the [cols = min samples (n - b)] distinct columns
+    [max (b + k) (k (n - 1) / (cols - 1))], [k < cols] ([n - 1] when
+    [cols = 1]), plus its region starts (default [16]; [0] disables
+    validation and accepts the D&C rung outright). The positions do not
+    depend on [n_bundles]. [regions]
     lists piecewise-region start positions, strictly increasing from
     [0] within [\[0, n)] (default [[|0|]]): the D&C re-anchors its
     candidate range at every region start, so clamped or underflowed

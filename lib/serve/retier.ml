@@ -80,6 +80,8 @@ type t = {
       (* window uid -> oracle answer; window uids are dense and stable,
          so the per-window join is an array probe, not a rehash of
          every endpoint pair. *)
+  mutable uids : int array;  (* [join]'s priceable uids, reused *)
+  mutable qs : float array;  (* and their demands *)
   mutable dp : Numerics.Segdp.state option;
   mutable sig_solved : signature;  (* what the retained state solved *)
   mutable sig_window : signature;  (* this window's; swapped in on a solve *)
@@ -104,6 +106,8 @@ let create params ~meta_of =
        else None);
     calib = None;
     meta_memo = [||];
+    uids = [||];
+    qs = [||];
     dp = None;
     sig_solved = empty_signature ();
     sig_window = empty_signature ();
@@ -155,9 +159,10 @@ let grow a len fill =
     g
   end
 
+(* The oracle's answer for a rate, memoized by uid ([join] has grown
+   the memo past every uid of the snapshot). *)
 let meta_for t (fr : Window.flow_rate) =
   let uid = fr.Window.f_uid in
-  t.meta_memo <- grow t.meta_memo (uid + 1) None;
   match t.meta_memo.(uid) with
   | Some m -> m
   | None ->
@@ -165,25 +170,29 @@ let meta_for t (fr : Window.flow_rate) =
       t.meta_memo.(uid) <- Some m;
       m
 
-(* Join a snapshot against the metadata oracle. Returns the priceable
-   flows' window uids and demands (in snapshot order) and the count of
-   rates with no metadata. *)
+(* Join a snapshot against the metadata oracle: the priceable flows'
+   window uids and demands (in snapshot order) fill the front of
+   [t.uids] and [t.qs]. Returns their count and the count of rates with
+   no metadata. The memo and both buffers grow at most once a window. *)
 let join t (snap : Window.snapshot) =
   let flows = snap.Window.s_flows in
   let len = Array.length flows in
-  let uids = Array.make len 0 and qs = Array.make len 0. in
+  let top =
+    Array.fold_left (fun m fr -> Int.max m fr.Window.f_uid) (-1) flows
+  in
+  t.meta_memo <- grow t.meta_memo (top + 1) None;
+  t.uids <- grow t.uids len 0;
+  t.qs <- grow t.qs len 0.;
   let n = ref 0 in
   Array.iter
     (fun (fr : Window.flow_rate) ->
       if Option.is_some (meta_for t fr) then begin
-        uids.(!n) <- fr.Window.f_uid;
-        qs.(!n) <- fr.Window.f_mbps;
+        t.uids.(!n) <- fr.Window.f_uid;
+        t.qs.(!n) <- fr.Window.f_mbps;
         incr n
       end)
     flows;
-  let n = !n in
-  if n = len then (uids, qs, 0)
-  else (Array.sub uids 0 n, Array.sub qs 0 n, len - n)
+  (!n, len - !n)
 
 (* Metadata of a uid [join] kept. *)
 let meta t uid =
@@ -191,13 +200,12 @@ let meta t uid =
   | Some (Some m) -> m
   | Some None | None -> invalid_arg "Serve.Retier: uid without metadata"
 
-let ensure_calibrated t uids qs =
+let ensure_calibrated t n =
   match t.calib with
   | Some c -> c
   | None ->
       let flows =
-        Array.init (Array.length uids) (fun i ->
-            flow_of_meta (meta t uids.(i)) ~mbps:qs.(i))
+        Array.init n (fun i -> flow_of_meta (meta t t.uids.(i)) ~mbps:t.qs.(i))
       in
       let m0 =
         Market.fit ~spec:t.params.spec ~alpha:t.params.alpha ~p0:t.params.p0
@@ -231,22 +239,22 @@ let by_key t c a b =
 (* Price never-seen flows, sort them alone and merge them into the
    retained order: O(known + fresh log fresh), no re-sort of the known
    flows. *)
-let admit t c uids qs =
+let admit t c n =
   let fresh = ref [] in
-  Array.iteri
-    (fun i uid ->
-      c.rank <- grow c.rank (uid + 1) (-1);
-      if c.rank.(uid) < 0 then begin
-        let cost = c.gamma *. c.rel_cost (flow_of_meta (meta t uid) ~mbps:qs.(i)) in
-        if not (cost > 0.) then
-          invalid_arg "Serve.Retier: frozen costs must be positive";
-        c.cost <- grow c.cost (uid + 1) Float.nan;
-        c.cost.(uid) <- cost;
-        (* Priced; the merge below ranks it. *)
-        c.rank.(uid) <- max_int;
-        fresh := uid :: !fresh
-      end)
-    uids;
+  for i = 0 to n - 1 do
+    let uid = t.uids.(i) in
+    c.rank <- grow c.rank (uid + 1) (-1);
+    if c.rank.(uid) < 0 then begin
+      let cost = c.gamma *. c.rel_cost (flow_of_meta (meta t uid) ~mbps:t.qs.(i)) in
+      if not (cost > 0.) then
+        invalid_arg "Serve.Retier: frozen costs must be positive";
+      c.cost <- grow c.cost (uid + 1) Float.nan;
+      c.cost.(uid) <- cost;
+      (* Priced; the merge below ranks it. *)
+      c.rank.(uid) <- max_int;
+      fresh := uid :: !fresh
+    end
+  done;
   if !fresh <> [] then begin
     let fresh = Array.of_list !fresh in
     Array.sort (by_key t c) fresh;
@@ -281,11 +289,13 @@ let admit t c uids qs =
    the window's signature in (cost, id) order — a presence scan,
    O(priced flows + n), into [t.sig_window]. Valuations are *not* filled
    here — an unchanged window stops after comparing signatures. *)
-let inputs_of t uids qs =
-  let c = ensure_calibrated t uids qs in
-  admit t c uids qs;
-  let n = Array.length uids in
-  Array.iteri (fun i uid -> c.slot.(c.rank.(uid)) <- i) uids;
+let inputs_of t n =
+  let c = ensure_calibrated t n in
+  admit t c n;
+  let uids = t.uids and qs = t.qs in
+  for i = 0 to n - 1 do
+    c.slot.(c.rank.(uids.(i))) <- i
+  done;
   let s = t.sig_window in
   if Array.length s.costs <> n then begin
     s.costs <- Array.make n 0.;
@@ -375,11 +385,10 @@ let cache_key t signature =
     signature.ids )
 
 let retier t (snap : Window.snapshot) =
-  let uids, qs, skipped = join t snap in
-  let n = Array.length uids in
+  let n, skipped = join t snap in
   if n = 0 then empty_outcome ~bin:snap.Window.s_bin ~skipped
   else begin
-    let signature = inputs_of t uids qs in
+    let signature = inputs_of t n in
     let solve = ref `Cached in
     let dirty = ref n in
     let evals = ref 0 in
@@ -467,11 +476,10 @@ let retier t (snap : Window.snapshot) =
   end
 
 let solve_cold t (snap : Window.snapshot) =
-  let uids, qs, skipped = join t snap in
-  let n = Array.length uids in
+  let n, skipped = join t snap in
   if n = 0 then empty_outcome ~bin:snap.Window.s_bin ~skipped
   else begin
-    let columns = columns_of t (inputs_of t uids qs) in
+    let columns = columns_of t (inputs_of t n) in
     let seg_value, regions = Tiered.Strategy.dp_columns columns in
     let r =
       Numerics.Segdp.solve ~samples:t.params.samples ~regions ~n

@@ -459,6 +459,33 @@ let prop_curve_hostile_logit =
       let _order, seg_value, regions = Strategy.dp_inputs m in
       curve_agrees ~regions ~n:(List.length spec) ~max_bundles:10 seg_value)
 
+(* The certificate's exact columns are shared by every layer and
+   checked in one sweep, so four more layers cost four more SMAWK
+   passes, not four more certificates. Layer 1 alone (B = 2, less the
+   base layer) pays one SMAWK pass plus one full certificate, about 6n
+   and 4n evaluations on the serve daemon's re-tier market: three of
+   those bound four SMAWK passes (about 25n) but not four passes that
+   each re-pay the certificate (about 41n). *)
+let test_certificate_once_per_solve () =
+  let m =
+    Experiment.market ~alpha:2. ~cost_model:(Cost_model.concave ~theta:0.5)
+      ~spec:Market.Ced "eu_isp@20000"
+  in
+  let _order, seg_value, regions = Strategy.dp_inputs m in
+  let n = Market.n_flows m in
+  let evals b =
+    (Numerics.Segdp.solve ~samples:8 ~regions ~n ~n_bundles:b seg_value)
+      .Numerics.Segdp.stats
+      .Numerics.Segdp.evaluations
+  in
+  let e2 = evals 2 and e4 = evals 4 and e8 = evals 8 in
+  Alcotest.(check bool)
+    (Printf.sprintf "evals(B=8) - evals(B=4) = %d < 3 (evals(B=2) - n) = %d"
+       (e8 - e4)
+       (3 * (e2 - n)))
+    true
+    (e8 - e4 < 3 * (e2 - n))
+
 let suite =
   [
     Alcotest.test_case "argument validation" `Quick test_validation;
@@ -493,4 +520,6 @@ let suite =
     QCheck_alcotest.to_alcotest (prop_curve_equals_solve "logit" `Logit);
     QCheck_alcotest.to_alcotest (prop_curve_equals_solve "linear" `Linear);
     QCheck_alcotest.to_alcotest prop_curve_hostile_logit;
+    Alcotest.test_case "certificate paid once per solve" `Quick
+      test_certificate_once_per_solve;
   ]
